@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -61,6 +62,37 @@ def _sample(prep, args):
     return geometry.sample_points(prep, args.points, args.seed, h=args.step)
 
 
+def _verify_sample(prep, z, args):
+    """One sample point of the verify sweep."""
+    eq = geometry.check_equations(prep, z, tol=args.tol, h=args.step)
+    sc = geometry.check_special_conditions(prep, z, tol=args.tol)
+    vhs = hodge.vhs_from_special_kahler(prep, [z], tol=args.tol)[0]
+    residuals = dict(eq.residuals)
+    residuals.update(sc.residuals)
+    residuals["kahler_potential"] = geometry.kahler_potential_residual(prep, z)
+    residuals["darboux"] = geometry.flat_omega_residual(prep, z)
+    residuals["flat_structure"] = geometry.flat_structure_certificate(prep, z)
+    residuals["vhs_holomorphy"] = vhs["holomorphy_residual"]
+    checks = {
+        "pure_weight_1": vhs["pure_weight_1"],
+        "polarization": vhs["polarization_pass"],
+    }
+    # the second-difference potential check has a ~1e-7 accuracy floor;
+    # everything else is held to the requested tolerance
+    ok = (
+        all(v < args.tol for k, v in residuals.items() if k != "kahler_potential")
+        and residuals["kahler_potential"] < max(args.tol, 1e-7)
+        and all(checks.values())
+    )
+    return {
+        "entry": prep.name,
+        "point": _point_json(z),
+        "residuals": residuals,
+        "checks": checks,
+        "pass": ok,
+    }
+
+
 def cmd_verify(args) -> int:
     prep = _load_entry(args)
     if prep is None:
@@ -70,37 +102,12 @@ def cmd_verify(args) -> int:
     except geometry.SamplingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SAMPLING
-    samples = []
-    for z in points:
-        eq = geometry.check_equations(prep, z, tol=args.tol, h=args.step)
-        sc = geometry.check_special_conditions(prep, z, tol=args.tol)
-        vhs = hodge.vhs_from_special_kahler(prep, [z], tol=args.tol)[0]
-        residuals = dict(eq.residuals)
-        residuals.update(sc.residuals)
-        residuals["kahler_potential"] = geometry.kahler_potential_residual(prep, z)
-        residuals["darboux"] = geometry.flat_omega_residual(prep, z)
-        residuals["flat_structure"] = geometry.flat_structure_certificate(prep, z)
-        residuals["vhs_holomorphy"] = vhs["holomorphy_residual"]
-        checks = {
-            "pure_weight_1": vhs["pure_weight_1"],
-            "polarization": vhs["polarization_pass"],
-        }
-        # the second-difference potential check has a ~1e-7 accuracy
-        # floor; everything else is held to the requested tolerance
-        ok = (
-            all(v < args.tol for k, v in residuals.items() if k != "kahler_potential")
-            and residuals["kahler_potential"] < max(args.tol, 1e-7)
-            and all(checks.values())
-        )
-        samples.append(
-            {
-                "entry": prep.name,
-                "point": _point_json(z),
-                "residuals": residuals,
-                "checks": checks,
-                "pass": ok,
-            }
-        )
+    try:
+        samples = [_verify_sample(prep, z, args) for z in points]
+    except geometry.StencilError as exc:
+        # stencil points print as numpy arrays, which wrap for large n
+        print("error: " + " ".join(str(exc).split()), file=sys.stderr)
+        return EXIT_SAMPLING
     max_res = {}
     for s in samples:
         for k, v in s["residuals"].items():
@@ -310,12 +317,32 @@ def cmd_catalog(args) -> int:
     return EXIT_PASS
 
 
+def _point_count(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _step_size(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+    return value
+
+
 def _add_sweep_flags(p, tol, step, points=8):
     p.add_argument("--entry", required=True, help="catalog selector, e.g. swlog(lambda=1)")
-    p.add_argument("--points", type=int, default=points)
+    p.add_argument("--points", type=_point_count, default=points)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--tol", type=float, default=tol)
-    p.add_argument("--step", type=float, default=step)
+    p.add_argument("--step", type=_step_size, default=step)
     p.add_argument("--out", default=None)
 
 

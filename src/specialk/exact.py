@@ -117,6 +117,9 @@ class ExactComplex:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        # real values equal ints and Fractions, so they must hash alike
+        if self.im == 0:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fd import FDEvaluationError, hessian, jacobian
+from .fd import FDEvaluationError, hessian
 from .prepotentials import DomainError, Prepotential
 from .utils import XorShift
 
@@ -293,13 +293,24 @@ def lc_holomorphic(prep: Prepotential, z):
 def higgs_at(prep: Prepotential, z):
     """(A, Abar, off-type residual): A is the (1,0)-form part of
     nabla - D mapping T^{1,0} -> T^{0,1}; Abar its conjugate."""
-    n = prep.n
     ar = flat_connection_at(prep, z) - levi_civita_at(prep, z)
-    p10, p01 = type_projectors(n)
-    a = np.einsum("cx,xab,ay,bz->cyz", p01, ar.astype(complex), p10, p10)
+    a = _higgs_part(ar)
     abar = np.conj(a)
     offtype = float(np.max(np.abs(ar - a - abar)))
     return a, abar, offtype
+
+
+def _higgs_part(ar):
+    """Type-(1,0) form part of nabla - D mapping T^{1,0} -> T^{0,1}."""
+    p10, p01 = type_projectors(ar.shape[0] // 2)
+    return np.einsum("cx,xab,ay,bz->cyz", p01, ar.astype(complex), p10, p10)
+
+
+def _connections_at(prep: Prepotential, z):
+    """(Levi-Civita, nabla - D, A) from one build of each connection."""
+    lc = levi_civita_at(prep, z)
+    ar = flat_connection_at(prep, z) - lc
+    return lc, ar, _higgs_part(ar)
 
 
 def _wedge(p, q):
@@ -313,11 +324,12 @@ def _project_form_slots(t, pa, pf):
 
 
 def _field_factory(prep: Prepotential, kind: str):
+    """Field u -> kind at the point u of the real chart, after the domain
+    check: "lc" gives the Levi-Civita Christoffels, "connection" the tuple
+    of _connections_at."""
     builders = {
         "lc": lambda z: levi_civita_at(prep, z),
-        "flat": lambda z: flat_connection_at(prep, z),
-        "ar": lambda z: flat_connection_at(prep, z) - levi_civita_at(prep, z),
-        "higgs": lambda z: higgs_at(prep, z)[0],
+        "connection": lambda z: _connections_at(prep, z),
     }
     build = builders[kind]
 
@@ -329,29 +341,40 @@ def _field_factory(prep: Prepotential, kind: str):
     return field
 
 
-def _fd_stack(fn, u, h):
-    """dF[d, ...] = central difference of a tensor field along u_d."""
-    cols = []
+def _stencil(fn, u, h):
+    """[(fn(u + h e_d), fn(u - h e_d)) for each chart direction d]."""
+    pairs = []
     for d in range(u.size):
         e = np.zeros_like(u)
         e[d] = h
-        cols.append((fn(u + e) - fn(u - e)) / (2.0 * h))
-    return np.stack(cols, axis=0)
+        pairs.append((fn(u + e), fn(u - e)))
+    return pairs
 
 
-def curvature_of_connection(gamma_fn, u, h: float):
-    """R[c, a, b, d] of the connection field gamma_fn (FD one level)."""
-    gamma = gamma_fn(u)
-    dg = _fd_stack(gamma_fn, u, h)             # dg[a, c, b, d] = d_a G[c, b, d]
+def _central(pairs, h):
+    """dF[d, ...] = central difference of the stencil pairs along u_d."""
+    return np.stack([(plus - minus) / (2.0 * h) for plus, minus in pairs], axis=0)
+
+
+def _fd_stack(fn, u, h):
+    return _central(_stencil(fn, u, h), h)
+
+
+def _curvature(gamma, dg):
+    """R[c, a, b, d] from Christoffels and their stack dg[a, c, b, d]."""
     term = dg.transpose(1, 0, 2, 3)            # [c, a, b, d]
     quad = np.einsum("cae,ebd->cabd", gamma, gamma)
     return term - term.transpose(0, 2, 1, 3) + quad - quad.transpose(0, 2, 1, 3)
 
 
-def _covariant_ext_derivative(field_fn, gamma_d, u, h):
-    """d_D of an End-valued one-form field: output [c, a, f, b]."""
-    t = field_fn(u)
-    dt = _fd_stack(field_fn, u, h)  # [d, c, f, b]
+def curvature_of_connection(gamma_fn, u, h: float):
+    """R[c, a, b, d] of the connection field gamma_fn (FD one level)."""
+    return _curvature(gamma_fn(u), _fd_stack(gamma_fn, u, h))
+
+
+def _covariant_ext(t, dt, gamma_d):
+    """d_D of an End-valued one-form t with stack dt[d, c, f, b]: output
+    [c, a, f, b]."""
     gd = gamma_d.astype(t.dtype)
     # (D_d T)[c, f, b]
     cov = (
@@ -361,6 +384,11 @@ def _covariant_ext_derivative(field_fn, gamma_d, u, h):
         - np.einsum("ceb,edf->cdfb", t, gd)
     )
     return cov - cov.transpose(0, 2, 1, 3)
+
+
+def _covariant_ext_derivative(field_fn, gamma_d, u, h):
+    """d_D of an End-valued one-form field: output [c, a, f, b]."""
+    return _covariant_ext(field_fn(u), _fd_stack(field_fn, u, h), gamma_d)
 
 
 @dataclass(frozen=True)
@@ -384,26 +412,30 @@ def check_equations(prep: Prepotential, z, tol: float = 1e-5, h: float = 1e-5) -
     dbarA (holomorphy of the Higgs field) and the full real flatness
     residual of nabla.
     """
+    if h <= 0:
+        raise ValueError("step size must be positive")
     z = prep.as_point(z)
     prep.require_domain(z)
     u = z_to_u(z)
     n = prep.n
     p10, p01 = type_projectors(n)
 
-    lc_fn = _field_factory(prep, "lc")
-    a_fn = _field_factory(prep, "higgs")
-    ar_fn = _field_factory(prep, "ar")
-
+    # every field is built once per stencil point; conjugation commutes
+    # exactly with the central difference, so Abar's stack is conj of A's
+    conn_fn = _field_factory(prep, "connection")
     try:
-        gamma_d = lc_fn(u)
-        a, abar, _ = higgs_at(prep, z)
-        r_d = curvature_of_connection(lc_fn, u, h)
-        dd_a = _covariant_ext_derivative(a_fn, gamma_d, u, h)
-        dd_abar = _covariant_ext_derivative(lambda v: np.conj(a_fn(v)), gamma_d, u, h)
-        dd_ar = _covariant_ext_derivative(ar_fn, gamma_d, u, h)
-        ar = ar_fn(u)
+        gamma_d, ar, a = conn_fn(u)
+        pairs = _stencil(conn_fn, u, h)
     except (DomainError, MetricDegenerateError, FDEvaluationError) as exc:
         raise StencilError(f"shrink step or move point: {exc}") from exc
+    d_lc, d_ar, d_a = (
+        _central([(plus[k], minus[k]) for plus, minus in pairs], h) for k in range(3)
+    )
+    abar = np.conj(a)
+    r_d = _curvature(gamma_d, d_lc)
+    dd_a = _covariant_ext(a, d_a, gamma_d)
+    dd_abar = _covariant_ext(abar, np.conj(d_a), gamma_d)
+    dd_ar = _covariant_ext(ar, d_ar, gamma_d)
 
     def sup(t):
         return float(np.max(np.abs(t)))
@@ -471,7 +503,10 @@ def kahler_potential_residual(prep: Prepotential, z, h: float = 3e-4) -> float:
         w = np.asarray(prep.grad(zz), dtype=complex)
         return float(np.imag(np.sum(w * np.conj(zz))))
 
-    hess = hessian(pot, z_to_u(z), h=h)
+    try:
+        hess = hessian(pot, z_to_u(z), h=h)
+    except (DomainError, FDEvaluationError) as exc:
+        raise StencilError(f"shrink step or move point: {exc}") from exc
     hxx = hess[:n, :n]
     hpp = hess[n:, n:]
     hxp = hess[:n, n:]

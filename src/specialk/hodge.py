@@ -10,8 +10,7 @@ rationalization step whose rounding error is reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
 
 from . import geometry
 from .exact import (
@@ -38,6 +37,7 @@ __all__ = [
     "quaternionic_from_hodge",
     "hodge_from_quaternionic",
     "QuaternionicChart",
+    "tangent_hodge_structure",
     "vhs_from_special_kahler",
 ]
 
@@ -341,32 +341,47 @@ def _hermitian_positive_definite(m: ExactMatrix) -> bool:
 def check_polarization(h: HodgeStructure, q: Polarization) -> PolarizationReport:
     """Exact polarization check: distinct components are Q-orthogonal and
     i^{k-l} Q(x, r(x)) is a positive-definite hermitian pairing on each
-    component (verified via Gram-matrix leading minors)."""
+    component (verified via Gram-matrix leading minors).
+
+    With the component bases stacked as the rows of B, every pairing
+    Q(x, y) is an entry of B Q B^T, and every Q(x, r(y)) one of
+    B Q S conj(B)^T, where r(v) = S conj(v)."""
     if q.q.rows != h.ambient_dim:
         raise ValueError("polarization dimension mismatch")
     parity = q.weight == h.weight
-    ortho = True
     keys = sorted(h.components)
-    for k, l in keys:
-        for r_, s_ in keys:
-            if (r_, s_) == (l, k):
-                # conjugate components pair; everything else is orthogonal
-                continue
-            for x in h.components[(k, l)].basis:
-                for y in h.components[(r_, s_)].basis:
-                    if not q.pair(x, y).is_zero():
-                        ortho = False
+    spans = {}
+    rows = []
+    for key in keys:
+        basis = h.components[key].basis
+        spans[key] = slice(len(rows), len(rows) + len(basis))
+        rows.extend(basis)
+    b = ExactMatrix(rows)
+    m = h.ambient_dim
+    rmat = h.real_structure.matrix.entries
+    s = ExactMatrix(
+        [[rmat[i][j] + _I * rmat[m + i][j] for j in range(m)] for i in range(m)]
+    )
+    pairs = b @ q.q @ b.T
+    conj_pairs = b @ (q.q @ s) @ b.conj().T
+
+    def block(mat, x, y):
+        return [row[spans[y]] for row in mat.entries[spans[x]]]
+
+    # conjugate components pair; everything else is orthogonal
+    ortho = all(
+        e.is_zero()
+        for k, l in keys
+        for other in keys
+        if other != (l, k)
+        for row in block(pairs, (k, l), other)
+        for e in row
+    )
     positivity = {}
-    r = h.real_structure
-    for (k, l), sub in h.components.items():
+    for k, l in keys:
         factor = _I ** (k - l)
-        basis = sub.basis
-        gram = ExactMatrix(
-            [
-                [factor * q.pair(x, r.apply_vec(y)) for y in basis]
-                for x in basis
-            ]
-        )
+        gram = block(conj_pairs, (k, l), (k, l))
+        gram = ExactMatrix([[factor * e for e in row] for row in gram])
         positivity[(k, l)] = _hermitian_positive_definite(gram)
     return PolarizationReport(
         parity=parity,
@@ -494,27 +509,43 @@ def hodge_from_quaternionic(q: QuaternionicStructure) -> QuaternionicChart:
     return QuaternionicChart(hodge=h, chart=chart, source=q)
 
 
+@lru_cache(maxsize=None)
+def tangent_hodge_structure(n: int) -> HodgeStructure:
+    """The weight-1 structure on the complexified tangent space C^{2n}
+    whose (1,0) part is spanned by the holomorphic frame e_j + i e_{n+j}
+    and whose real structure is coordinatewise conjugation.
+
+    In special coordinates the frame is constant, so the structure depends
+    on n only; it is built on first use and shared (treat it as read-only).
+    Raises NotPureError if the frame's filtration is not pure."""
+    m = 2 * n
+    frame = [
+        [_ONE if t == j else _I if t == n + j else _ZERO for t in range(m)]
+        for j in range(n)
+    ]
+    rstruct = RealStructure.conjugation(m)
+    filt = Filtration.from_proper_steps(m, [Subspace.span(m, frame)])
+    return filtration_to_hodge(filt, filt.conjugate(rstruct), rstruct, 1)
+
+
 def vhs_from_special_kahler(prep, points, tol: float = 1e-5,
                             max_denominator: int = 10**12):
     """Pointwise weight-1 structure on the complexified tangent space with
     the omega-based polarization (sign convention Q = -omega, flagged in
-    the report), plus the holomorphic-subbundle residual."""
+    the report), plus the holomorphic-subbundle residual.
+
+    Only the polarization depends on the point; the Hodge structure is
+    tangent_hodge_structure(n)."""
     reports = []
     for z in points:
         z = prep.as_point(z)
         md = geometry.metric_at(prep, z)
-        n = prep.n
         hol = geometry.vhs_holomorphy_residual(prep, z)
-        frame = geometry.holomorphic_frame(n)
-        frame_exact, err_frame = rationalize_matrix(frame.T, max_denominator)
-        v10 = Subspace.span(2 * n, frame_exact.entries)
         q_exact, err_q = rationalize_matrix(-md.omega.astype(complex), max_denominator)
-        rstruct = RealStructure.conjugation(2 * n)
-        filt = Filtration.from_proper_steps(2 * n, [v10])
         pure = True
         pol = None
         try:
-            h = filtration_to_hodge(filt, filt.conjugate(rstruct), rstruct, 1)
+            h = tangent_hodge_structure(prep.n)
             pol = check_polarization(h, Polarization(q_exact, weight=1))
         except NotPureError:
             pure = False
@@ -525,7 +556,7 @@ def vhs_from_special_kahler(prep, points, tol: float = 1e-5,
                 "holomorphy_pass": bool(hol < tol),
                 "pure_weight_1": pure,
                 "polarization_pass": bool(pol.passed) if pol is not None else False,
-                "rationalization_error": float(max(err_frame, err_q)),
+                "rationalization_error": float(err_q),
                 "polarization_sign": "Q=-omega",
             }
         )

@@ -17,11 +17,12 @@ Frame conventions at a point (z, alpha) of T*M:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import geometry, hodge, rees
-from .exact import ExactMatrix, Subspace, rationalize_matrix, real_rep_linear
+from .exact import ExactMatrix, rationalize_matrix
 from .prepotentials import DomainError, Prepotential
 
 __all__ = [
@@ -283,6 +284,17 @@ def twistor_normal_bundle_at(prep: Prepotential, pt: CotangentPoint,
     return rees.splitting_type(rees.ReesBundle(filt, fbar))
 
 
+@lru_cache(maxsize=None)
+def _tangent_hodge_j(n: int):
+    """Real matrix of J from the exact quaternionic correspondence applied
+    to the pointwise weight-1 structure on the complexified tangent space;
+    it depends on n only.  The cached array is read-only."""
+    h = hodge.tangent_hodge_structure(n)
+    j = hodge.quaternionic_from_hodge(h).jmat.to_numpy().real
+    j.setflags(write=False)
+    return j
+
+
 def correspondence_check(prep: Prepotential, pt: CotangentPoint) -> float:
     """Compare J built from the cotangent-fiber identification with J
     reconstructed from the pointwise weight-1 Hodge structure via the
@@ -290,16 +302,7 @@ def correspondence_check(prep: Prepotential, pt: CotangentPoint) -> float:
     identifications.  Returns the sup-norm difference."""
     fr = tangent_split_at(prep, pt)
     n = prep.n
-    n2 = 2 * n
-
-    # exact route: Hodge structure on the complexified tangent space
-    frame = geometry.holomorphic_frame(n)
-    frame_exact, _ = rationalize_matrix(frame.T)
-    v10 = Subspace.span(n2, frame_exact.entries)
-    rstruct = hodge.RealStructure.conjugation(n2)
-    v01 = rstruct.apply_subspace(v10)
-    h_point = hodge.HodgeStructure(1, {(1, 0): v10, (0, 1): v01}, rstruct)
-    j_hodge = hodge.quaternionic_from_hodge(h_point).jmat.to_numpy().real
+    j_hodge = _tangent_hodge_j(n)
 
     # identification chi: T(T*M) -> complexified tangent space
     p10, p01 = geometry.type_projectors(n)

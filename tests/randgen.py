@@ -77,8 +77,30 @@ def swap_permutation(m: int) -> ExactMatrix:
 def weight1_structure(rng, m: int) -> HodgeStructure:
     """Random exact pure weight-1 structure on C^m (m even): push the
     standard split and swap-conjugation through a random invertible map."""
-    k = m // 2
+    return _pushed_weight1(invertible(rng, m))
+
+
+def polarized_weight1(rng, m: int):
+    """(h, q): a random weight-1 structure as in weight1_structure and the
+    pushed-forward standard polarization Q = g^{-T} [[0, -i], [i, 0]] g^{-1},
+    which polarizes it."""
     g = invertible(rng, m)
+    k = m // 2
+    i, zero = ExactComplex(0, 1), ExactComplex(0)
+    q0 = ExactMatrix(
+        [
+            [-i if (a < k and b == k + a) else i if (a >= k and b == a - k) else zero
+             for b in range(m)]
+            for a in range(m)
+        ]
+    )
+    gi = g.inverse()
+    return _pushed_weight1(g), gi.T @ q0 @ gi
+
+
+def _pushed_weight1(g: ExactMatrix) -> HodgeStructure:
+    m = g.rows
+    k = m // 2
     r = RealStructure(
         real_rep_linear(g)
         @ real_rep_antilinear(swap_permutation(m))

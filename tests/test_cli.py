@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from specialk.cli import main
@@ -73,6 +74,47 @@ class TestVerify:
         ])
         capsys.readouterr()
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--points", "0"],
+            ["verify", "--points", "-3"],
+            ["verify", "--points", "two"],
+            ["verify", "--step", "0"],
+            ["verify", "--step", "-1"],
+            ["verify", "--step", "nan"],
+            ["verify", "--step", "inf"],
+            ["verify", "--step", "small"],
+            ["hk", "correspondence", "--points", "0"],
+            ["hk", "nijenhuis", "--step", "-1e-4"],
+            ["twistor", "normal-bundle", "--step", "0"],
+        ],
+        ids=lambda a: " ".join(a),
+    )
+    def test_bad_sweep_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--entry", "cubic"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "Traceback" not in captured.err
+
+    def test_stencil_failure_exit_code(self, monkeypatch, capsys):
+        """A sample point inside the sampler's margin but closer to the
+        boundary than the potential stencil ends in exit 3."""
+        from specialk import cli
+
+        monkeypatch.setattr(
+            cli.geometry, "sample_points", lambda *a, **k: [np.array([0.3 + 1e-4j])]
+        )
+        assert run(["verify", "--entry", "cubic", "--points", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: shrink step or move point")
+        assert captured.err.count("\n") == 1
 
     def test_determinism_byte_identical(self, tmp_path):
         out1 = tmp_path / "a.json"

@@ -27,6 +27,15 @@ class TestExactComplex:
         assert a.conjugate().conjugate() == a
         assert (a * a.conjugate()).is_real()
 
+    def test_hash_agrees_with_eq(self):
+        for value in (3, 0, -7, Fraction(1, 2), Fraction(-5, 3)):
+            e = ExactComplex(value)
+            assert e == value
+            assert hash(e) == hash(value)
+            assert len({e, value}) == 1
+        assert len({ExactComplex(1, 2), ExactComplex(1, 2)}) == 1
+        assert ExactComplex(1, 2) != 1
+
     def test_pow(self):
         i = ExactComplex(0, 1)
         assert i**2 == ExactComplex(-1)

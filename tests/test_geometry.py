@@ -211,6 +211,71 @@ class TestEquationSuite:
         with pytest.raises(geo.StencilError):
             geo.check_equations(Cubic(), [0.5 + 1e-7j], tol=1e-5, h=1e-5)
 
+    @pytest.mark.parametrize("h", [0.0, -1e-5])
+    def test_rejects_nonpositive_step(self, h):
+        with pytest.raises(ValueError):
+            geo.check_equations(Cubic(), [1j], h=h)
+
+    @pytest.mark.parametrize(
+        "prep,seed",
+        [(Cubic(), 3), (SWLog(), 5), (Coupled(), 7), (Quadratic(n=3), 9)],
+        ids=("cubic", "swlog", "coupled", "quadratic3"),
+    )
+    def test_bitwise_equal_to_per_kind_fields(self, prep, seed):
+        """One build of every connection per stencil point gives the same
+        bits as differencing each field kind on its own."""
+        for z in entry_points(prep, 3, seed=seed):
+            ref = reference_equation_residuals(prep, z, h=1e-5)
+            assert geo.check_equations(prep, z, h=1e-5).residuals == ref
+
+
+def reference_equation_residuals(prep, z, h):
+    """The equation suite with a separate stencil per field kind: Levi-Civita
+    for the curvature, then A, Abar and nabla - D for d_D."""
+    u = geo.z_to_u(z)
+
+    def field(build):
+        def fn(v):
+            zz = geo.u_to_z(v)
+            prep.require_domain(zz)
+            return build(zz)
+        return fn
+
+    lc_fn = field(lambda zz: geo.levi_civita_at(prep, zz))
+    a_fn = field(lambda zz: geo.higgs_at(prep, zz)[0])
+    ar_fn = field(lambda zz: geo.flat_connection_at(prep, zz) - geo.levi_civita_at(prep, zz))
+    gamma_d = lc_fn(u)
+    a, abar, _ = geo.higgs_at(prep, z)
+    r_d = geo.curvature_of_connection(lc_fn, u, h)
+    dd_a = geo._covariant_ext_derivative(a_fn, gamma_d, u, h)
+    dd_abar = geo._covariant_ext_derivative(lambda v: np.conj(a_fn(v)), gamma_d, u, h)
+    dd_ar = geo._covariant_ext_derivative(ar_fn, gamma_d, u, h)
+    ar = ar_fn(u)
+    p10, p01 = geo.type_projectors(prep.n)
+    proj, wedge = geo._project_form_slots, geo._wedge
+
+    def sup(t):
+        return float(np.max(np.abs(t)))
+
+    return {
+        "e2": sup(proj(dd_a + wedge(a, a), p10, p10)),
+        "e3": sup(proj(dd_abar + wedge(abar, abar), p01, p01)),
+        "e5": sup(proj(dd_a, p10, p10)),
+        "e6": sup(proj(dd_abar, p01, p01)),
+        "e8": sup(proj(dd_abar, p10, p01)),
+        "e9": sup(r_d.astype(complex) + wedge(a, abar) + wedge(abar, a)),
+        "dbarA": sup(proj(dd_a, p01, p10)),
+        "flatness": sup(r_d + dd_ar + wedge(ar, ar)),
+    }
+
+
+class TestKahlerPotential:
+    def test_stencil_error_near_boundary(self):
+        """The potential stencil (h = 3e-4) is wider than the sampler's
+        margin; leaving the domain is a StencilError, not a traceback."""
+        with pytest.raises(geo.StencilError):
+            geo.kahler_potential_residual(Cubic(), [0.3 + 1e-4j])
+
 
 class TestSpecialConditions:
     def test_quadratic_exact(self):

@@ -4,7 +4,13 @@ the pointwise special Kahler variation."""
 import numpy as np
 import pytest
 
-from randgen import quaternionic_pair, standard_quaternionic, weight1_structure
+from randgen import (
+    matrix,
+    polarized_weight1,
+    quaternionic_pair,
+    standard_quaternionic,
+    weight1_structure,
+)
 from specialk.exact import ExactComplex, ExactMatrix, Subspace, std_complex_structure
 from specialk.hodge import (
     Filtration,
@@ -18,6 +24,7 @@ from specialk.hodge import (
     hodge_from_quaternionic,
     hodge_to_filtration,
     quaternionic_from_hodge,
+    tangent_hodge_structure,
     vhs_from_special_kahler,
 )
 from specialk.prepotentials import Coupled, Cubic, Quadratic, SWLog
@@ -172,6 +179,68 @@ class TestPolarization:
         assert check_polarization(ha, q) == check_polarization(hb, q)
 
 
+def pairwise_polarization(h, q):
+    """The polarization verdicts from the definition, one Q.pair per pair
+    of basis vectors: the oracle for check_polarization."""
+    keys = sorted(h.components)
+    ortho = all(
+        q.pair(x, y).is_zero()
+        for k, l in keys
+        for other in keys
+        if other != (l, k)
+        for x in h.components[(k, l)].basis
+        for y in h.components[other].basis
+    )
+    positivity = {}
+    for k, l in keys:
+        basis = h.components[(k, l)].basis
+        factor = ExactComplex(0, 1) ** (k - l)
+        gram = ExactMatrix(
+            [[factor * q.pair(x, h.real_structure.apply_vec(y)) for y in basis] for x in basis]
+        )
+        positivity[(k, l)] = gram == gram.conj().T and all(
+            ExactMatrix([row[:j] for row in gram.entries[:j]]).det().re > 0
+            for j in range(1, gram.rows + 1)
+        )
+    return ortho, positivity
+
+
+class TestPolarizationProducts:
+    """check_polarization reads every pairing off two matrix products; its
+    verdicts must equal the pairwise definition."""
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_agrees_with_pairwise_definition(self, m):
+        rng = XorShift(4242 + m)
+        seen = set()
+        for _ in range(6):
+            h, q = polarized_weight1(rng, m)
+            other = matrix(rng, m)
+            candidates = [q, q.scale(ExactComplex(-1)), other - other.T]
+            # a random structure under a polarization made for another one
+            candidates.append(polarized_weight1(rng, m)[1])
+            for qm in candidates:
+                if qm.rank() != m:
+                    continue
+                pol = Polarization(qm, weight=1)
+                rep = check_polarization(h, pol)
+                ortho, positivity = pairwise_polarization(h, pol)
+                assert rep.orthogonality == ortho
+                assert rep.positivity == positivity
+                seen.add(rep.passed)
+        assert seen == {True, False}
+
+    def test_negated_polarization_fails_positivity(self):
+        rng = XorShift(77)
+        for m in (2, 4):
+            h, q = polarized_weight1(rng, m)
+            assert check_polarization(h, Polarization(q, weight=1)).passed
+            neg = check_polarization(h, Polarization(q.scale(ExactComplex(-1)), weight=1))
+            assert neg.orthogonality
+            assert not any(neg.positivity.values())
+            assert not neg.passed
+
+
 class TestQuaternionicFromHodge:
     def test_eq2_model(self):
         """J(v, wbar) = (-w, vbar) on the standard split of C^2."""
@@ -260,3 +329,42 @@ class TestVHS:
             assert rep["pure_weight_1"]
             assert rep["polarization_pass"]
             assert rep["polarization_sign"] == "Q=-omega"
+
+
+class TestTangentHodgeStructure:
+    """The weight-1 structure on the complexified tangent space depends on
+    n only: one build per dimension serves every sample point."""
+
+    @pytest.mark.parametrize(
+        "prep", [Cubic(), Coupled(), Quadratic(n=3)], ids=lambda p: f"{p.name}{p.n}"
+    )
+    def test_one_build_per_dimension(self, prep):
+        from specialk import geometry
+
+        pts = geometry.sample_points(prep, 16, seed=7)
+        tangent_hodge_structure.cache_clear()
+        cached = vhs_from_special_kahler(prep, pts)
+        cached += vhs_from_special_kahler(prep, pts[:4], max_denominator=10**9)
+        assert tangent_hodge_structure.cache_info().misses == 1
+        fresh = []
+        for z in pts:
+            tangent_hodge_structure.cache_clear()
+            fresh += vhs_from_special_kahler(prep, [z])
+        for z in pts[:4]:
+            tangent_hodge_structure.cache_clear()
+            fresh += vhs_from_special_kahler(prep, [z], max_denominator=10**9)
+        assert cached == fresh
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_frame_construction(self, n):
+        h = tangent_hodge_structure(n)
+        m = 2 * n
+        frame = [[ExactComplex(0)] * m for _ in range(n)]
+        for j in range(n):
+            frame[j][j] = ExactComplex(1)
+            frame[j][n + j] = ExactComplex(0, 1)
+        v10 = Subspace.span(m, frame)
+        assert h.weight == 1
+        assert h.component(1, 0) == v10
+        assert h.component(0, 1) == v10.conjugate()
+        assert h.real_structure == RealStructure.conjugation(m)
