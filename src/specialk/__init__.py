@@ -7,11 +7,14 @@ correspondences between filtered/Hodge-structured vector spaces,
 quaternionic structures and semistable bundles on the projective line.
 """
 
-from ._kernel import BACKEND as kernel_backend
 from .exact import ExactComplex, ExactMatrix, Subspace
 from .prepotentials import catalog, parse_entry
 
 __version__ = "0.1.0"
+
+# The exact kernel (specialk._kernel) is pure Python; benchmark records
+# carry this name so that runs of different kernels are never compared.
+kernel_backend = "python"
 
 __all__ = [
     "__version__",

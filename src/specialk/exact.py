@@ -162,11 +162,11 @@ class ExactComplex:
                 elif body == "-":
                     im_part = Fraction(-1)
                 else:
-                    im_part = Fraction(body)
+                    im_part = _literal_fraction(body, text)
             else:
                 if re_part is not None:
                     raise ValueError(f"repeated real part in {text!r}")
-                re_part = Fraction(tok)
+                re_part = _literal_fraction(tok, text)
         return ExactComplex(re_part or 0, im_part or 0)
 
     def __str__(self):
@@ -190,6 +190,13 @@ class ExactComplex:
 
     def __repr__(self):
         return f"ExactComplex('{self}')"
+
+
+def _literal_fraction(token, text):
+    try:
+        return Fraction(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 _ZERO = ExactComplex(0)

@@ -215,9 +215,11 @@ class Filtration:
         return cls.from_proper_steps(dim, subs[1:])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Polarization:
-    """Bilinear form matrix with the weight-parity symmetry."""
+    """Nondegenerate bilinear form matrix with the weight-parity symmetry.
+
+    Frozen, so the checks made on construction hold for its lifetime."""
 
     q: ExactMatrix
     weight: int
@@ -313,7 +315,6 @@ def hodge_to_filtration(h: HodgeStructure) -> Filtration:
 @dataclass
 class PolarizationReport:
     parity: bool
-    nondegenerate: bool
     orthogonality: bool
     positivity: dict
 
@@ -321,7 +322,6 @@ class PolarizationReport:
     def passed(self) -> bool:
         return (
             self.parity
-            and self.nondegenerate
             and self.orthogonality
             and all(self.positivity.values())
         )
@@ -385,7 +385,6 @@ def check_polarization(h: HodgeStructure, q: Polarization) -> PolarizationReport
         positivity[(k, l)] = _hermitian_positive_definite(gram)
     return PolarizationReport(
         parity=parity,
-        nondegenerate=q.q.rank() == q.q.rows,
         orthogonality=ortho,
         positivity=positivity,
     )

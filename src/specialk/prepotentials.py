@@ -9,6 +9,7 @@ the finite-difference consistency tests actually test something.
 from __future__ import annotations
 
 import math
+import numbers
 import re as _re
 
 import numpy as np
@@ -81,9 +82,9 @@ class Quadratic(Prepotential):
     """
 
     def __init__(self, n: int = 1, tau0=None):
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"quadratic: n must be a positive integer, got {n!r}")
         self.n = int(n)
-        if self.n < 1:
-            raise ValueError("n must be positive")
         if tau0 is None:
             tau0 = 1j * np.eye(self.n)
         tau0 = np.asarray(tau0, dtype=complex)
@@ -221,22 +222,27 @@ class Coupled(Prepotential):
 
 
 class CatalogEntry:
-    def __init__(self, name, factory, description):
+    def __init__(self, name, factory, description, params=()):
         self.name = name
         self.factory = factory
         self.description = description
+        self.params = params
 
     def make(self, **params) -> Prepotential:
+        for key in params:
+            if key not in self.params:
+                raise ValueError(f"catalog entry {self.name!r} has no parameter {key!r}")
         return self.factory(**params)
 
 
 _CATALOG = [
-    CatalogEntry("quadratic", lambda n=1: Quadratic(n=int(n)),
-                 "flat model F = (i/2) sum z_k^2 (tau0 = i Id; param n)"),
+    CatalogEntry("quadratic", lambda n=1: Quadratic(n=n),
+                 "flat model F = (i/2) sum z_k^2 (tau0 = i Id; param n)", ("n",)),
     CatalogEntry("cubic", lambda: Cubic(),
                  "F = z^3 on the upper half plane"),
-    CatalogEntry("swlog", lambda **kw: SWLog(lam=kw.pop("lambda", kw.pop("lam", 1.0)), **kw),
-                 "F = (i/pi) z^2 log(z/lambda) away from the cut (param lambda)"),
+    CatalogEntry("swlog", lambda **kw: SWLog(lam=kw.get("lambda", kw.get("lam", 1.0))),
+                 "F = (i/pi) z^2 log(z/lambda) away from the cut (param lambda)",
+                 ("lambda", "lam")),
     CatalogEntry("coupled", lambda: Coupled(),
                  "F = (i/2)(z1^2+z2^2) + z1 z2^2, 2-dimensional"),
 ]

@@ -89,18 +89,27 @@ class TestVerify:
             ["hk", "correspondence", "--points", "0"],
             ["hk", "nijenhuis", "--step", "-1e-4"],
             ["twistor", "normal-bundle", "--step", "0"],
+            ["verify", "--entry", "quadratic(n=2.5)"],
+            ["verify", "--entry", "cubic(x=1)"],
         ],
         ids=lambda a: " ".join(a),
     )
     def test_bad_sweep_flags_are_usage_errors(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(argv + ["--entry", "cubic"])
-        assert exc.value.code == 2
+        entry = argv[argv.index("--entry") + 1] if "--entry" in argv else None
+        if entry:
+            # selectors are parsed after argparse, which returns the code
+            assert run(argv) == 2
+        else:
+            with pytest.raises(SystemExit) as exc:
+                run(argv + ["--entry", "cubic"])
+            assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(errors) == 1
         assert "Traceback" not in captured.err
+        if entry:
+            assert entry.split("(")[0] in errors[0]
 
     def test_stencil_failure_exit_code(self, monkeypatch, capsys):
         """A sample point inside the sampler's margin but closer to the
@@ -184,6 +193,13 @@ class TestRees:
         }
         path = write(tmp_path, "chain.json", obj)
         assert run(["rees", "split", path]) == 4
+
+    def test_zero_denominator_is_data_error(self, tmp_path, capsys):
+        path = write(tmp_path, "zero.json", {"dim": 2, "steps": [[["1/0", "1"]]]})
+        assert run(["rees", "split", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: inconsistent filtration: zero denominator in '1/0'\n"
 
 
 class TestHyperkahler:

@@ -166,6 +166,13 @@ class TestPolarization:
         with pytest.raises(ValueError):
             Polarization(ExactMatrix([["0", "0"], ["0", "0"]]), weight=0)
 
+    def test_checked_form_cannot_be_replaced(self):
+        """check_polarization relies on the constructor's rank check, so a
+        polarization cannot swap in a degenerate form afterwards."""
+        q = self.q_std()
+        with pytest.raises(AttributeError):
+            q.q = ExactMatrix.zeros(2, 2)
+
     def test_basis_invariance(self):
         """The verdict only depends on the subspaces, not the generators
         used to present them."""

@@ -1,15 +1,21 @@
-"""Backend parity and canonicalization of the exact kernel."""
+"""Canonical form and products of the exact kernel, pinned by fixed seeds
+and by derandomized property tests."""
 
-import pytest
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specialk import _kernel
+from specialk.exact import ExactComplex, Subspace
 from specialk.utils import XorShift
 
-BACKENDS = sorted(_kernel.available_backends())
+# derandomized and without an example database: every run draws the same
+# examples and writes nothing
+properties = settings(derandomize=True, database=None)
 
-needs_both = pytest.mark.skipif(
-    len(BACKENDS) < 2, reason="compiled kernel not available"
-)
+gaussian = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+nonzero_gaussian = gaussian.filter(lambda g: g != (0, 0))
 
 
 def random_rows(rng, nrows, ncols, span=9, den=5):
@@ -23,38 +29,28 @@ def random_rows(rng, nrows, ncols, span=9, den=5):
     return rows
 
 
-def degenerate_rows(rng, nrows, ncols):
-    rows = random_rows(rng, nrows, ncols)
-    rows[1] = list(rows[0])
-    rows[-1] = [1] + [0] * (2 * ncols)
-    return rows
+def kernel_rows(nrows, ncols):
+    """Rows [den, a0, b0, ...] with small Gaussian-integer numerators, so
+    that dependent rows and zero columns are common."""
+    row = st.tuples(
+        st.integers(1, 6), st.lists(gaussian, min_size=ncols, max_size=ncols)
+    ).map(lambda t: [t[0]] + [v for entry in t[1] for v in entry])
+    return st.lists(row, min_size=nrows, max_size=nrows)
 
 
-@needs_both
-def test_rref_backend_parity():
-    rng = XorShift(7)
-    impls = [_kernel.get_backend(b) for b in BACKENDS]
-    for _ in range(100):
-        rows = random_rows(rng, rng.randint(1, 6), rng.randint(1, 7))
-        results = [impl.rref([list(r) for r in rows], (len(rows[0]) - 1) // 2)
-                   for impl in impls]
-        assert results[0] == results[1]
-    for _ in range(30):
-        rows = degenerate_rows(rng, 4, 5)
-        results = [impl.rref([list(r) for r in rows], 5) for impl in impls]
-        assert results[0] == results[1]
+@st.composite
+def matrices(draw):
+    ncols = draw(st.integers(1, 4))
+    rows = draw(kernel_rows(draw(st.integers(1, 6)), ncols))
+    return rows, ncols
 
 
-@needs_both
-def test_matmul_backend_parity():
-    rng = XorShift(11)
-    impls = [_kernel.get_backend(b) for b in BACKENDS]
-    for _ in range(60):
-        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
-        a = random_rows(rng, n, k)
-        b = random_rows(rng, k, m)
-        results = [impl.matmul(a, b, m) for impl in impls]
-        assert results[0] == results[1]
+def entries(rows):
+    """Entrywise (re, im) Fractions of kernel rows."""
+    return [
+        [(Fraction(r[j], r[0]), Fraction(r[j + 1], r[0])) for j in range(1, len(r), 2)]
+        for r in rows
+    ]
 
 
 def test_rref_idempotent_and_pivots_normalized():
@@ -72,9 +68,72 @@ def test_rref_idempotent_and_pivots_normalized():
             assert row[1 + 2 * c] == den and row[2 + 2 * c] == 0
 
 
-def test_use_backend_round_trip():
-    active = _kernel.BACKEND
-    for name in BACKENDS:
-        with _kernel.use_backend(name):
-            assert _kernel.BACKEND == name
-    assert _kernel.BACKEND == active
+@properties
+@given(matrices())
+def test_rref_is_idempotent(m):
+    rows, ncols = m
+    red = _kernel.rref(rows, ncols)
+    assert _kernel.rref(red[0], ncols) == red
+
+
+@properties
+@given(st.data())
+def test_rref_ignores_row_order_and_gaussian_integer_scaling(data):
+    rows, ncols = data.draw(matrices())
+    shuffled = data.draw(st.permutations(rows))
+    factors = data.draw(st.lists(nonzero_gaussian, min_size=len(rows), max_size=len(rows)))
+    scaled = []
+    for row, (p, q) in zip(shuffled, factors):
+        out = [row[0]]
+        for j in range(1, len(row), 2):
+            a, b = row[j], row[j + 1]
+            out += [a * p - b * q, a * q + b * p]
+        scaled.append(out)
+    assert _kernel.rref(scaled, ncols) == _kernel.rref(rows, ncols)
+
+
+@properties
+@given(st.data())
+def test_matmul_matches_fraction_reference(data):
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(0, 4))
+    m = data.draw(st.integers(1, 4))
+    a = data.draw(kernel_rows(n, k))
+    b = data.draw(kernel_rows(k, m))
+    cols = [[row[j] for row in entries(b)] for j in range(m)]
+    expect = [
+        [
+            (
+                sum((x[0] * y[0] - x[1] * y[1] for x, y in zip(row, col)), Fraction(0)),
+                sum((x[0] * y[1] + x[1] * y[0] for x, y in zip(row, col)), Fraction(0)),
+            )
+            for col in cols
+        ]
+        for row in entries(a)
+    ]
+    out = _kernel.matmul(a, b, m)
+    assert all(r[0] > 0 for r in out)
+    assert entries(out) == expect
+
+
+def vectors(n):
+    return st.lists(
+        st.lists(gaussian.map(lambda g: ExactComplex(*g)), min_size=n, max_size=n),
+        max_size=n,
+    )
+
+
+@properties
+@given(st.data())
+def test_subspace_dimension_formula(data):
+    n = data.draw(st.integers(1, 4))
+    u = Subspace.span(n, data.draw(vectors(n)))
+    w = Subspace.span(n, data.draw(vectors(n)))
+    assert (u + w).dim + (u & w).dim == u.dim + w.dim
+
+
+@properties
+@given(st.fractions(max_denominator=50), st.fractions(max_denominator=50))
+def test_parse_str_round_trip(re, im):
+    x = ExactComplex(re, im)
+    assert ExactComplex.parse(str(x)) == x
