@@ -3,8 +3,8 @@ computations and hyperkahler/twistor suites, all emitting deterministic
 JSON reports.
 
 Exit codes: 0 all checks passed, 1 check failure, 2 usage error
-(unknown entry, malformed JSON, bad flags), 3 sampling failure,
-4 data error (inconsistent filtration input).
+(unknown entry, malformed JSON, bad flags), 3 sampling or stencil
+failure, 4 data error (inconsistent filtration input).
 """
 
 from __future__ import annotations
@@ -38,31 +38,49 @@ def _emit(report, out_path):
         sys.stdout.write(text + "\n")
 
 
-def _config_dict(args, command):
-    cfg = {"command": command}
-    for key in ("entry", "points", "seed", "tol", "step", "weight"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            cfg[key] = getattr(args, key)
-    return cfg
-
-
 def _point_json(z):
     return [[float(c.real), float(c.imag)] for c in np.atleast_1d(z)]
 
 
-def _load_entry(args):
+def _sweep(args, command, sampler, sample_at, header=None):
+    """The one sample sweep behind verify, hk and twistor: load the entry,
+    draw the points with sampler, turn each into a sample record with
+    sample_at, fold the verdicts and residuals, emit the report with the
+    extra fields header(prep)."""
     try:
-        return parse_entry(args.entry)
+        prep = parse_entry(args.entry)
     except (KeyError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return None
+        return EXIT_USAGE
+    try:
+        points = sampler(prep, args.points, args.seed, h=args.step)
+        samples = [sample_at(prep, p, args) for p in points]
+    except (geometry.SamplingError, geometry.StencilError) as exc:
+        # stencil points print as numpy arrays, which wrap for large n
+        print("error: " + " ".join(str(exc).split()), file=sys.stderr)
+        return EXIT_SAMPLING
+    summary = {"pass": all(s["pass"] for s in samples)}
+    if "residuals" in samples[0]:
+        max_res = {}
+        for s in samples:
+            for k, v in s["residuals"].items():
+                # np.maximum keeps a NaN residual visible in the summary
+                max_res[k] = float(np.maximum(max_res.get(k, v), v))
+        summary["max_residuals"] = max_res
+    config = {key: getattr(args, key) for key in ("entry", "points", "seed", "tol", "step")}
+    report = {
+        "tool": "specialk",
+        "version": __version__,
+        "config": {"command": command, **config},
+        **(header(prep) if header else {}),
+        "samples": samples,
+        "summary": summary,
+    }
+    _emit(report, args.out)
+    return EXIT_PASS if summary["pass"] else EXIT_FAIL
 
 
-def _sample(prep, args):
-    return geometry.sample_points(prep, args.points, args.seed, h=args.step)
-
-
-def _verify_sample(prep, z, args):
+def _verify_at(prep, z, args):
     """One sample point of the verify sweep."""
     eq = geometry.check_equations(prep, z, tol=args.tol, h=args.step)
     sc = geometry.check_special_conditions(prep, z, tol=args.tol)
@@ -94,35 +112,8 @@ def _verify_sample(prep, z, args):
 
 
 def cmd_verify(args) -> int:
-    prep = _load_entry(args)
-    if prep is None:
-        return EXIT_USAGE
-    try:
-        points = _sample(prep, args)
-    except geometry.SamplingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SAMPLING
-    try:
-        samples = [_verify_sample(prep, z, args) for z in points]
-    except geometry.StencilError as exc:
-        # stencil points print as numpy arrays, which wrap for large n
-        print("error: " + " ".join(str(exc).split()), file=sys.stderr)
-        return EXIT_SAMPLING
-    max_res = {}
-    for s in samples:
-        for k, v in s["residuals"].items():
-            max_res[k] = max(max_res.get(k, 0.0), v)
-    overall = all(s["pass"] for s in samples)
-    report = {
-        "tool": "specialk",
-        "version": __version__,
-        "config": _config_dict(args, "verify"),
-        "polarization_sign": "Q=-omega",
-        "samples": samples,
-        "summary": {"max_residuals": max_res, "pass": overall},
-    }
-    _emit(report, args.out)
-    return EXIT_PASS if overall else EXIT_FAIL
+    return _sweep(args, "verify", geometry.sample_points, _verify_at,
+                  header=lambda prep: {"polarization_sign": "Q=-omega"})
 
 
 def _load_rees_input(path):
@@ -183,124 +174,76 @@ def cmd_rees(args) -> int:
     return EXIT_PASS
 
 
-def _hk_points(prep, args):
-    return hyperkahler.sample_cotangent_points(prep, args.points, args.seed, h=args.step)
+def _hk_check(prep, pt, args):
+    fr = hyperkahler.tangent_split_at(prep, pt)
+    return {
+        "quaternion": hyperkahler.quaternion_residual(fr),
+        "g_orthogonality": hyperkahler.orthogonality_residual(fr),
+    }
+
+
+def _hk_nijenhuis(prep, pt, args):
+    stacks = hyperkahler.structure_derivative_stacks(prep, pt, h=args.step)
+    rng = XorShift(args.seed)
+    zetas = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(8)]
+    structures = {f"nijenhuis_{name}": name for name in ("I", "J", "K")}
+    structures.update((f"nijenhuis_zeta{k}", zeta) for k, zeta in enumerate(zetas))
+    residuals = {
+        key: hyperkahler.nijenhuis_at(prep, pt, s, h=args.step, _stacks=stacks)
+        for key, s in structures.items()
+    }
+    closed = hyperkahler.kahler_form_closedness(prep, pt, h=args.step)
+    residuals.update((f"domega_{name}", v) for name, v in closed.items())
+    return residuals
+
+
+def _hk_correspondence(prep, pt, args):
+    return {"correspondence": hyperkahler.correspondence_check(prep, pt)}
+
+
+_HK_SUITES = {
+    "check": _hk_check,
+    "nijenhuis": _hk_nijenhuis,
+    "correspondence": _hk_correspondence,
+}
+
+
+def _cotangent_sample(prep, pt, ok, **fields):
+    return {
+        "entry": prep.name,
+        "point": _point_json(pt.z),
+        "alpha": [float(a) for a in pt.alpha],
+        "pass": ok,
+        **fields,
+    }
 
 
 def cmd_hk(args) -> int:
-    prep = _load_entry(args)
-    if prep is None:
-        return EXIT_USAGE
-    try:
-        pts = _hk_points(prep, args)
-    except geometry.SamplingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SAMPLING
-    samples = []
-    suite = args.hk_command
-    for pt in pts:
-        residuals = {}
-        if suite == "check":
-            fr = hyperkahler.tangent_split_at(prep, pt)
-            ident = np.eye(fr.imat.shape[0])
-            residuals["quaternion"] = float(
-                max(
-                    np.max(np.abs(fr.imat @ fr.imat + ident)),
-                    np.max(np.abs(fr.jmat @ fr.jmat + ident)),
-                    np.max(np.abs(fr.kmat @ fr.kmat + ident)),
-                    np.max(np.abs(fr.imat @ fr.jmat + fr.jmat @ fr.imat)),
-                    np.max(np.abs(fr.imat @ fr.jmat @ fr.kmat + ident)),
-                )
-            )
-            residuals["g_orthogonality"] = float(
-                max(
-                    np.max(np.abs(s.T @ fr.gtm @ s - fr.gtm))
-                    for s in (fr.imat, fr.jmat, fr.kmat)
-                )
-            )
-        elif suite == "nijenhuis":
-            stacks = hyperkahler.structure_derivative_stacks(prep, pt, h=args.step)
-            for name in ("I", "J", "K"):
-                residuals[f"nijenhuis_{name}"] = hyperkahler.nijenhuis_at(
-                    prep, pt, name, h=args.step, _stacks=stacks
-                )
-            rng = XorShift(args.seed)
-            for k in range(8):
-                zeta = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                residuals[f"nijenhuis_zeta{k}"] = hyperkahler.nijenhuis_at(
-                    prep, pt, zeta, h=args.step, _stacks=stacks
-                )
-            closed = hyperkahler.kahler_form_closedness(prep, pt, h=args.step)
-            for name, v in closed.items():
-                residuals[f"domega_{name}"] = v
-        elif suite == "correspondence":
-            residuals["correspondence"] = hyperkahler.correspondence_check(prep, pt)
+    residuals_at = _HK_SUITES[args.hk_command]
+
+    def sample_at(prep, pt, args):
+        residuals = residuals_at(prep, pt, args)
         ok = all(v < args.tol for v in residuals.values())
-        samples.append(
-            {
-                "entry": prep.name,
-                "point": _point_json(pt.z),
-                "alpha": [float(a) for a in pt.alpha],
-                "residuals": residuals,
-                "pass": ok,
-            }
-        )
-    overall = all(s["pass"] for s in samples)
-    max_res = {}
-    for s in samples:
-        for k, v in s["residuals"].items():
-            max_res[k] = max(max_res.get(k, 0.0), v)
-    report = {
-        "tool": "specialk",
-        "version": __version__,
-        "config": _config_dict(args, f"hk {suite}"),
-        "samples": samples,
-        "summary": {"max_residuals": max_res, "pass": overall},
-    }
-    _emit(report, args.out)
-    return EXIT_PASS if overall else EXIT_FAIL
+        return _cotangent_sample(prep, pt, ok, residuals=residuals)
+
+    return _sweep(args, f"hk {args.hk_command}",
+                  hyperkahler.sample_cotangent_points, sample_at)
+
+
+def _twistor_at(prep, pt, args):
+    try:
+        degrees = list(hyperkahler.twistor_normal_bundle_at(prep, pt).degrees)
+    except hyperkahler.RationalizationError as exc:
+        degrees = None
+        print(f"warning: {exc}", file=sys.stderr)
+    ok = degrees == [1] * (2 * prep.n)
+    return _cotangent_sample(prep, pt, ok, splitting=degrees)
 
 
 def cmd_twistor(args) -> int:
-    prep = _load_entry(args)
-    if prep is None:
-        return EXIT_USAGE
-    try:
-        pts = _hk_points(prep, args)
-    except geometry.SamplingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SAMPLING
-    expected = [1] * (2 * prep.n)
-    samples = []
-    for pt in pts:
-        try:
-            st = hyperkahler.twistor_normal_bundle_at(prep, pt)
-            degrees = list(st.degrees)
-            ok = degrees == expected
-        except hyperkahler.RationalizationError as exc:
-            degrees = None
-            ok = False
-            print(f"warning: {exc}", file=sys.stderr)
-        samples.append(
-            {
-                "entry": prep.name,
-                "point": _point_json(pt.z),
-                "alpha": [float(a) for a in pt.alpha],
-                "splitting": degrees,
-                "pass": ok,
-            }
-        )
-    overall = all(s["pass"] for s in samples)
-    report = {
-        "tool": "specialk",
-        "version": __version__,
-        "config": _config_dict(args, "twistor normal-bundle"),
-        "expected": expected,
-        "samples": samples,
-        "summary": {"pass": overall},
-    }
-    _emit(report, args.out)
-    return EXIT_PASS if overall else EXIT_FAIL
+    return _sweep(args, "twistor normal-bundle",
+                  hyperkahler.sample_cotangent_points, _twistor_at,
+                  header=lambda prep: {"expected": [1] * (2 * prep.n)})
 
 
 def cmd_catalog(args) -> int:

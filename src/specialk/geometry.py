@@ -61,6 +61,11 @@ __all__ = [
 ]
 
 
+# step of the Kahler-potential second differences; its diagonal stencil
+# points lie 2 * POTENTIAL_STEP from the sample point
+POTENTIAL_STEP = 3e-4
+
+
 class MetricDegenerateError(ValueError):
     pass
 
@@ -487,7 +492,7 @@ def check_special_conditions(prep: Prepotential, z, tol: float = 1e-5) -> Equati
     return EquationReport(residuals=residuals, tol=tol)
 
 
-def kahler_potential_residual(prep: Prepotential, z, h: float = 3e-4) -> float:
+def kahler_potential_residual(prep: Prepotential, z, h: float = POTENTIAL_STEP) -> float:
     """|Im tau - dd-bar K| for K = Im(sum w_i conj(z_i)), by second
     differences; validates the metric convention.
 
@@ -561,7 +566,8 @@ def lagrangian_graph_check(prep: Prepotential, center, radius: float = 0.1,
 def sample_points(prep: Prepotential, count: int, seed: int,
                   h: float = 1e-5, margin: float = 10.0, max_tries: int = 500):
     """Seeded uniform draws from the entry's sample box, rejecting points
-    closer than margin*h to the domain boundary (probed coordinatewise)."""
+    closer than max(margin*h, 2*POTENTIAL_STEP) to the domain boundary
+    (probed coordinatewise), so the widest stencil of a sweep stays inside."""
     if count < 1:
         raise ValueError("need count >= 1")
     rng = XorShift(seed)
@@ -569,7 +575,7 @@ def sample_points(prep: Prepotential, count: int, seed: int,
     if len(box) != 2 * prep.n:
         raise ValueError(f"{prep.name}: sample box has wrong length")
     pts = []
-    eps = margin * h
+    eps = max(margin * h, 2.0 * POTENTIAL_STEP)
     tries = 0
     limit = max_tries * count
     while len(pts) < count:
@@ -580,19 +586,8 @@ def sample_points(prep: Prepotential, count: int, seed: int,
             )
         u = np.array([rng.uniform(lo, hi) for lo, hi in box])
         z = u_to_z(u)
-        if not prep.in_domain(z):
-            continue
-        ok = True
-        for d in range(2 * prep.n):
-            for s in (-1.0, 1.0):
-                probe = u.copy()
-                probe[d] += s * eps
-                if not prep.in_domain(u_to_z(probe)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        probes = (u + s * eps * e for e in np.eye(u.size) for s in (-1.0, 1.0))
+        if prep.in_domain(z) and all(prep.in_domain(u_to_z(p)) for p in probes):
             pts.append(z)
     return pts
 

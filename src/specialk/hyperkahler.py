@@ -21,15 +21,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import geometry, hodge, rees
+from . import fd, geometry, hodge, rees
 from .exact import ExactMatrix, rationalize_matrix
-from .prepotentials import DomainError, Prepotential
+from .prepotentials import Prepotential
 
 __all__ = [
     "RationalizationError",
     "CotangentPoint",
     "HyperkahlerFrame",
     "tangent_split_at",
+    "quaternion_residual",
+    "orthogonality_residual",
     "J_at",
     "zeta_to_sphere",
     "twistor_structure_at",
@@ -122,6 +124,21 @@ def tangent_split_at(prep: Prepotential, pt: CotangentPoint) -> HyperkahlerFrame
     )
 
 
+def quaternion_residual(fr: HyperkahlerFrame) -> float:
+    """Sup-norm defect of I^2 = J^2 = K^2 = IJK = -1 and IJ = -JI."""
+    i, j, k = fr.imat, fr.jmat, fr.kmat
+    ident = np.eye(i.shape[0])
+    defects = (i @ i + ident, j @ j + ident, k @ k + ident, i @ j + j @ i, i @ j @ k + ident)
+    return float(max(np.max(np.abs(d)) for d in defects))
+
+
+def orthogonality_residual(fr: HyperkahlerFrame) -> float:
+    """Sup-norm defect of S^T gTM S = gTM for S in {I, J, K}."""
+    return float(
+        max(np.max(np.abs(s.T @ fr.gtm @ s - fr.gtm)) for s in (fr.imat, fr.jmat, fr.kmat))
+    )
+
+
 def J_at(prep: Prepotential, pt: CotangentPoint):
     return tangent_split_at(prep, pt).jmat
 
@@ -144,6 +161,16 @@ def twistor_structure_at(prep: Prepotential, pt: CotangentPoint, zeta):
     return a * fr.imat + b * fr.jmat + c * fr.kmat
 
 
+def _coordinate_derivatives(field, pt: CotangentPoint, h: float):
+    """Fourth-order stencil derivatives of a stacked field of the cotangent
+    coordinates, as [k, d, ...] = d_d field[k]."""
+    try:
+        jac = fd.jacobian4(field, pt.coords, h=h)
+    except fd.FDEvaluationError as exc:
+        raise geometry.StencilError(f"shrink step or move point: {exc}") from exc
+    return np.ascontiguousarray(np.moveaxis(jac, -1, 1))
+
+
 def structure_derivative_stacks(prep: Prepotential, pt: CotangentPoint, h: float = 1e-4):
     """(I, J, K) at the point and their derivative stacks over all 4n
     cotangent coordinates.
@@ -151,30 +178,13 @@ def structure_derivative_stacks(prep: Prepotential, pt: CotangentPoint, h: float
     Fourth-order stencils: near box corners the frame fields have third
     derivatives of order 1e4, so a second-order stencil at h = 1e-4 would
     leave truncation above the 1e-4 integrability tolerance."""
-    t0 = pt.coords
-    n4 = t0.size
 
-    def frame_at(t):
-        return tangent_split_at(prep, CotangentPoint.from_coords(t))
+    def structures_at(t):
+        fr = tangent_split_at(prep, CotangentPoint.from_coords(t))
+        return np.stack([fr.imat, fr.jmat, fr.kmat])
 
-    fr0 = frame_at(t0)
-    d_i = np.empty((n4, n4, n4))
-    d_j = np.empty((n4, n4, n4))
-    d_k = np.empty((n4, n4, n4))
-    for d in range(n4):
-        e = np.zeros(n4)
-        e[d] = h
-        try:
-            frames = [frame_at(t0 + s * e) for s in (2.0, 1.0, -1.0, -2.0)]
-        except (DomainError, geometry.MetricDegenerateError) as exc:
-            raise geometry.StencilError(f"shrink step or move point: {exc}") from exc
-        for mats, out in (
-            ([f.imat for f in frames], d_i),
-            ([f.jmat for f in frames], d_j),
-            ([f.kmat for f in frames], d_k),
-        ):
-            out[d] = (-mats[0] + 8.0 * mats[1] - 8.0 * mats[2] + mats[3]) / (12.0 * h)
-    return fr0, (d_i, d_j, d_k)
+    d_i, d_j, d_k = _coordinate_derivatives(structures_at, pt, h)
+    return tangent_split_at(prep, pt), (d_i, d_j, d_k)
 
 
 def _nijenhuis_from(s, ds):
@@ -207,8 +217,6 @@ def nijenhuis_at(prep: Prepotential, pt: CotangentPoint, structure="J",
 
 def kahler_form_closedness(prep: Prepotential, pt: CotangentPoint, h: float = 1e-4):
     """Sup-norm of d(omega_S) for S in {I, J, K}, omega_S = gTM(S., .)."""
-    t0 = pt.coords
-    n4 = t0.size
 
     def forms_at(t):
         fr = tangent_split_at(prep, CotangentPoint.from_coords(t))
@@ -216,22 +224,9 @@ def kahler_form_closedness(prep: Prepotential, pt: CotangentPoint, h: float = 1e
             [fr.imat.T @ fr.gtm, fr.jmat.T @ fr.gtm, fr.kmat.T @ fr.gtm]
         )
 
-    stack = np.empty((n4, 3, n4, n4))
-    for d in range(n4):
-        e = np.zeros(n4)
-        e[d] = h
-        try:
-            stack[d] = (
-                -forms_at(t0 + 2 * e)
-                + 8.0 * forms_at(t0 + e)
-                - 8.0 * forms_at(t0 - e)
-                + forms_at(t0 - 2 * e)
-            ) / (12.0 * h)
-        except (DomainError, geometry.MetricDegenerateError) as exc:
-            raise geometry.StencilError(f"shrink step or move point: {exc}") from exc
     out = {}
-    for idx, name in enumerate(("I", "J", "K")):
-        dom = stack[:, idx]  # [a, b, c] = d_a omega_{bc}
+    for name, dom in zip(("I", "J", "K"), _coordinate_derivatives(forms_at, pt, h)):
+        # dom[a, b, c] = d_a omega_{bc}
         dw = dom - dom.transpose(1, 0, 2) + dom.transpose(1, 2, 0)
         out[name] = float(np.max(np.abs(dw)))
     return out

@@ -235,12 +235,19 @@ class CatalogEntry:
         return self.factory(**params)
 
 
+def _swlog(**kw):
+    # 'lambda' and 'lam' name the same parameter
+    if len(kw) > 1:
+        raise ValueError("catalog entry 'swlog' takes 'lambda' or 'lam', not both")
+    return SWLog(lam=kw.get("lambda", kw.get("lam", 1.0)))
+
+
 _CATALOG = [
     CatalogEntry("quadratic", lambda n=1: Quadratic(n=n),
                  "flat model F = (i/2) sum z_k^2 (tau0 = i Id; param n)", ("n",)),
     CatalogEntry("cubic", lambda: Cubic(),
                  "F = z^3 on the upper half plane"),
-    CatalogEntry("swlog", lambda **kw: SWLog(lam=kw.get("lambda", kw.get("lam", 1.0))),
+    CatalogEntry("swlog", _swlog,
                  "F = (i/pi) z^2 log(z/lambda) away from the cut (param lambda)",
                  ("lambda", "lam")),
     CatalogEntry("coupled", lambda: Coupled(),
@@ -311,5 +318,8 @@ def parse_entry(spec: str) -> Prepotential:
             if "=" not in piece:
                 raise ValueError(f"parameters must be name=value, got {piece!r}")
             key, val = piece.split("=", 1)
-            params[key.strip()] = _parse_value(val)
+            key = key.strip()
+            if key in params:
+                raise ValueError(f"catalog entry {name!r} repeats parameter {key!r}")
+            params[key] = _parse_value(val)
     return entry.make(**params)

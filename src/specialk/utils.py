@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 __all__ = ["XorShift", "stable_json"]
 
 _MASK = (1 << 64) - 1
@@ -50,7 +52,8 @@ def _fmt(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return format(value, ".17g")
+        # JSON has no NaN or infinity
+        return format(value, ".17g") if math.isfinite(value) else "null"
     if isinstance(value, str):
         out = ["\""]
         for ch in value:
@@ -74,5 +77,6 @@ def _fmt(value) -> str:
 
 
 def stable_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats at 17 significant digits,
+    non-finite floats as null."""
     return _fmt(obj)

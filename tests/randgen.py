@@ -5,6 +5,8 @@ test data is identical on every platform."""
 
 from fractions import Fraction
 
+from hypothesis import settings
+
 from specialk.exact import (
     ExactComplex,
     ExactMatrix,
@@ -20,6 +22,10 @@ from specialk.hodge import (
     RealStructure,
 )
 from specialk.utils import XorShift
+
+# hypothesis profile of the property tests: derandomized and without an
+# example database, so every run draws the same examples and writes nothing
+properties = settings(derandomize=True, database=None)
 
 
 def rational(rng, num=4, den=3):

@@ -1,11 +1,16 @@
 """CLI behavior: exit codes, report schemas, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from randgen import properties
 from specialk.cli import main
+from specialk.utils import stable_json
 
 PURE_C2 = {"dim": 2, "steps": [[["1", "0"], ["0", "1"]], [["1", "i"]]]}
 IMPURE_C2 = {"dim": 2, "steps": [[["1", "0"], ["0", "1"]], [["1", "0"]]]}
@@ -19,6 +24,15 @@ def write(tmp_path, name, obj):
 
 def run(args):
     return main(args)
+
+
+def strict_loads(text):
+    """json.loads that refuses the NaN/Infinity extensions."""
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestCatalog:
@@ -91,6 +105,8 @@ class TestVerify:
             ["twistor", "normal-bundle", "--step", "0"],
             ["verify", "--entry", "quadratic(n=2.5)"],
             ["verify", "--entry", "cubic(x=1)"],
+            ["verify", "--entry", "quadratic(n=2,n=3)"],
+            ["verify", "--entry", "swlog(lambda=1,lam=2)"],
         ],
         ids=lambda a: " ".join(a),
     )
@@ -124,6 +140,18 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: shrink step or move point")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_residual_prints_null_and_fails(self, capsys):
+        """swlog's sample box scales with lambda, and near 1e-300 the
+        connection terms overflow: the residuals that read NaN print as
+        null, fail the point, and stay NaN (null) in the summary instead
+        of folding to 0."""
+        assert run(["verify", "--entry", "swlog(lambda=1e-300)", "--points", "1"]) == 1
+        rep = strict_loads(capsys.readouterr().out)
+        assert rep["samples"][0]["residuals"]["dbarA"] is None
+        assert rep["summary"]["max_residuals"]["dbarA"] is None
+        assert rep["summary"]["pass"] is False
 
     def test_determinism_byte_identical(self, tmp_path):
         out1 = tmp_path / "a.json"
@@ -235,6 +263,21 @@ class TestHyperkahler:
         assert {"nijenhuis_I", "nijenhuis_J", "nijenhuis_K"} <= names
         assert sum(1 for k in names if k.startswith("nijenhuis_zeta")) == 8
 
+    def test_nijenhuis_stencil_failure_exit_code(self, monkeypatch, capsys):
+        """The 4th-order stencil at --step 1e-4 reaches Im z - 2e-4 < 0."""
+        from specialk import cli, hyperkahler
+
+        pt = hyperkahler.CotangentPoint(z=np.array([0.3 + 1e-4j]), alpha=np.zeros(2))
+        monkeypatch.setattr(
+            cli.hyperkahler, "sample_cotangent_points", lambda *a, **k: [pt]
+        )
+        assert run(["hk", "nijenhuis", "--entry", "cubic", "--points", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: shrink step or move point")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     def test_twistor_normal_bundle(self, tmp_path):
         out = tmp_path / "t.json"
         code = run([
@@ -265,3 +308,27 @@ class TestReportFormat:
                     check_sorted(v)
         check_sorted(rep)
         assert text.rstrip("\n") == text.strip()
+
+    @properties
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.text()
+            | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf]),
+            lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+            max_leaves=10,
+        )
+    )
+    def test_stable_json_is_strict_json(self, value):
+        """Every output parses as strict JSON and gives the value back,
+        with non-finite floats read as null."""
+
+        def expected(v):
+            if isinstance(v, float) and not math.isfinite(v):
+                return None
+            if isinstance(v, list):
+                return [expected(x) for x in v]
+            if isinstance(v, dict):
+                return {k: expected(x) for k, x in v.items()}
+            return v
+
+        assert strict_loads(stable_json(value)) == expected(value)

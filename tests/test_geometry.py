@@ -271,8 +271,8 @@ def reference_equation_residuals(prep, z, h):
 
 class TestKahlerPotential:
     def test_stencil_error_near_boundary(self):
-        """The potential stencil (h = 3e-4) is wider than the sampler's
-        margin; leaving the domain is a StencilError, not a traceback."""
+        """A point closer to the boundary than the potential stencil
+        reaches: leaving the domain is a StencilError, not a traceback."""
         with pytest.raises(geo.StencilError):
             geo.kahler_potential_residual(Cubic(), [0.3 + 1e-4j])
 
@@ -334,6 +334,14 @@ class TestSampling:
                         probe = u.copy()
                         probe[d] += s * 1e-2
                         assert prep.in_domain(geo.u_to_z(probe))
+
+    def test_margin_covers_potential_stencil(self):
+        """Sampled points stay 2 * POTENTIAL_STEP from the boundary even
+        when margin * h is smaller, so the potential stencil stays inside."""
+        prep = Cubic()
+        prep.sample_box = ((-1.0, 1.0), (2e-4, 1e-3))
+        for z in geo.sample_points(prep, 32, seed=3, h=1e-5):
+            geo.kahler_potential_residual(prep, z)
 
     def test_sampling_failure(self):
         prep = Cubic()

@@ -1,6 +1,8 @@
 """Hyperkahler triple on the cotangent bundle, twistor structures,
 integrability residuals and the correspondence with the Hodge route."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,17 +14,6 @@ ENTRIES = [Quadratic(), Cubic(), SWLog(), Coupled()]
 
 def pt_for(prep, seed=1, alpha_scale=1.0):
     return hk.sample_cotangent_points(prep, 1, seed, alpha_scale=alpha_scale)[0]
-
-
-def quaternion_residual(fr):
-    ident = np.eye(fr.imat.shape[0])
-    return max(
-        np.max(np.abs(fr.imat @ fr.imat + ident)),
-        np.max(np.abs(fr.jmat @ fr.jmat + ident)),
-        np.max(np.abs(fr.kmat @ fr.kmat + ident)),
-        np.max(np.abs(fr.imat @ fr.jmat + fr.jmat @ fr.imat)),
-        np.max(np.abs(fr.imat @ fr.jmat @ fr.kmat + ident)),
-    )
 
 
 class TestTangentSplit:
@@ -50,6 +41,33 @@ class TestTangentSplit:
         fr = hk.tangent_split_at(prep, pt)
         for s in (fr.imat, fr.jmat, fr.kmat):
             assert np.max(np.abs(s.T @ fr.gtm @ s - fr.gtm)) < 1e-9
+
+
+class TestResiduals:
+    """On the flat model frame (quadratic, alpha = 0) every matrix has
+    entries 0 and +-1, so the residuals are exact."""
+
+    def model_frame(self):
+        pt = hk.CotangentPoint(z=np.array([0.0j]), alpha=np.zeros(2))
+        return hk.tangent_split_at(Quadratic(), pt)
+
+    def test_model_frame_is_exact(self):
+        fr = self.model_frame()
+        assert hk.quaternion_residual(fr) == 0.0
+        assert hk.orthogonality_residual(fr) == 0.0
+
+    def test_quaternion_residual_sees_commuting_pair(self):
+        # J = I: I^2 = J^2 = -1 still hold, but IJ + JI = -2 and K = -1
+        fr = self.model_frame()
+        bad = dataclasses.replace(fr, jmat=fr.imat, kmat=fr.imat @ fr.imat)
+        assert hk.quaternion_residual(bad) == 2.0
+
+    def test_orthogonality_residual_sees_non_invariant_metric(self):
+        # I swaps the first two coordinates up to sign, so I^T G I moves
+        # the 2 to the second diagonal entry
+        fr = self.model_frame()
+        bad = dataclasses.replace(fr, gtm=np.diag([2.0, 1.0, 1.0, 1.0]))
+        assert hk.orthogonality_residual(bad) == 1.0
 
 
 class TestJ:
@@ -81,7 +99,7 @@ class TestJ:
         for prep in ENTRIES:
             for seed in (1, 2):
                 fr = hk.tangent_split_at(prep, pt_for(prep, seed=seed))
-                assert quaternion_residual(fr) < 1e-12
+                assert hk.quaternion_residual(fr) < 1e-12
 
 
 class TestNijenhuis:

@@ -3,16 +3,13 @@ and by derandomized property tests."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from randgen import properties
 from specialk import _kernel
 from specialk.exact import ExactComplex, Subspace
 from specialk.utils import XorShift
-
-# derandomized and without an example database: every run draws the same
-# examples and writes nothing
-properties = settings(derandomize=True, database=None)
 
 gaussian = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 nonzero_gaussian = gaussian.filter(lambda g: g != (0, 0))

@@ -165,6 +165,7 @@ class TestParser:
         assert not prep.in_domain([0.3 + 0.0j])  # inside 2 e^{-3/2}
 
     def test_rejects(self):
-        for bad in ("nosuch", "cubic(", "swlog(lambda)", "quadratic(n=two)"):
+        for bad in ("nosuch", "cubic(", "swlog(lambda)", "quadratic(n=two)",
+                    "quadratic(n=2,n=3)", "swlog(lambda=1,lam=2)"):
             with pytest.raises((KeyError, ValueError)):
                 parse_entry(bad)

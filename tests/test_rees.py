@@ -1,8 +1,9 @@
 """Rees modules, section counts, splitting types and the purity oracle."""
 
 import pytest
+from hypothesis import given, strategies
 
-from randgen import nested_filtration, weight1_structure
+from randgen import nested_filtration, properties, weight1_structure
 from specialk.exact import ExactComplex, ExactMatrix, Subspace
 from specialk.hodge import Filtration, RealStructure, hodge_to_filtration
 from specialk.rees import (
@@ -156,6 +157,20 @@ class TestSplitting:
             fbar = nested_filtration(rng, 3)
             b = ReesBundle(f, fbar)
             assert splitting_type(b).degree == bundle_degree(b)
+
+    @properties
+    @given(strategies.integers(0, 2**32), strategies.integers(1, 4),
+           strategies.integers(-2, 2))
+    def test_profile_matches_splitting_type(self, seed, n, twist):
+        """h0(m) = sum max(a + m + 1, 0) over the recovered degrees on a
+        window around the recovery scan, and deg = bundle_degree."""
+        rng = XorShift(seed)
+        b = ReesBundle(nested_filtration(rng, n), nested_filtration(rng, n), twist=twist)
+        split = splitting_type(b)
+        assert split.degree == bundle_degree(b)
+        reach = b.f.length + b.fbar.length + abs(twist) + 2
+        for m in range(-reach, reach + 1):
+            assert h0(b, m) == sum(max(a + m + 1, 0) for a in split.degrees)
 
     def test_twist_shifts_every_degree(self):
         f = Filtration.from_proper_steps(2, [line(2, ["1", "i"])])
