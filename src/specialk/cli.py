@@ -270,7 +270,7 @@ def _point_count(text):
     return value
 
 
-def _step_size(text):
+def _positive_float(text):
     try:
         value = float(text)
     except ValueError:
@@ -284,8 +284,8 @@ def _add_sweep_flags(p, tol, step, points=8):
     p.add_argument("--entry", required=True, help="catalog selector, e.g. swlog(lambda=1)")
     p.add_argument("--points", type=_point_count, default=points)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--tol", type=float, default=tol)
-    p.add_argument("--step", type=_step_size, default=step)
+    p.add_argument("--tol", type=_positive_float, default=tol)
+    p.add_argument("--step", type=_positive_float, default=step)
     p.add_argument("--out", default=None)
 
 

@@ -1,16 +1,22 @@
 """Exact Gaussian-rational scalars, matrices and subspaces.
 
-Scalars are pairs of fractions re + im*i.  Matrices and subspaces convert
-to the flat integer row format of the kernel (see _kernel) for reduction
-and multiplication; subspaces are stored in reduced row-echelon form, so
-equal subspaces compare equal structurally.
+Scalars are pairs of fractions re + im*i.  Matrices and subspaces store
+only the kernel's flat integer rows (see _kernel): a row is a tuple
+(den, a0, b0, ..., a_{m-1}, b_{m-1}) for the entries (a_j + b_j*i) / den,
+with den > 0 and no prime dividing den and every numerator.  Each vector
+has exactly one such row, so equal matrices have equal rows, and every
+operation works on rows from one kernel call to the next.  ExactComplex
+values appear only at the edges: the ExactMatrix(entries) constructor,
+parsing and printing, indexing, ExactMatrix.entries, Subspace.basis and
+the vector forms of `@` and `contains`.  Subspaces are stored in reduced
+row-echelon form, so equal subspaces compare equal structurally.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import gcd
+from math import lcm, prod
 
 from . import _kernel
 
@@ -22,6 +28,7 @@ __all__ = [
     "real_rep_antilinear",
     "std_complex_structure",
     "rationalize_matrix",
+    "leading_minors_positive",
 ]
 
 
@@ -133,10 +140,7 @@ class ExactComplex:
     def from_complex(z, max_denominator: int = 10**12):
         """Nearest Gaussian rational with bounded denominators; returns
         (value, absolute rounding error)."""
-        z = complex(z)
-        re = Fraction(z.real).limit_denominator(max_denominator)
-        im = Fraction(z.imag).limit_denominator(max_denominator)
-        err = abs(complex(re, im) - z)
+        re, im, err = _rationalize(z, max_denominator)
         return ExactComplex(re, im), err
 
     _TERM = _re.compile(r"[+-]?[^+-]+")
@@ -199,30 +203,43 @@ def _literal_fraction(token, text):
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-_ZERO = ExactComplex(0)
-_ONE = ExactComplex(1)
+def _rationalize(z, max_denominator):
+    """(re, im, absolute error) of the nearest Gaussian rational to z with
+    denominators at most max_denominator."""
+    z = complex(z)
+    re = Fraction(z.real).limit_denominator(max_denominator)
+    im = Fraction(z.imag).limit_denominator(max_denominator)
+    return re, im, abs(complex(re, im) - z)
+
+
 _I = ExactComplex(0, 1)
+
+_reduce_row = _kernel._reduce_row
+
+
+def _canon(row):
+    """Canonical tuple of a list row with den > 0: content-reduced."""
+    return tuple(_reduce_row(row))
+
+
+def _row_from_parts(parts):
+    """Row of the vector with flat parts (re0, im0, re1, im1, ...), each an
+    int or a Fraction.  With den the lcm of the reduced denominators, no
+    prime divides den and every numerator, so the row is canonical."""
+    den = lcm(*(f.denominator for f in parts))
+    return (den, *(f.numerator * (den // f.denominator) for f in parts))
 
 
 def _vec_to_row(vec):
-    """Flat integer row [den, a0, b0, ...] for a vector of ExactComplex."""
-    den = 1
-    for e in vec:
-        for f in (e.re, e.im):
-            d = f.denominator
-            den = den // gcd(den, d) * d
-    row = [den]
-    for e in vec:
-        row.append(e.re.numerator * (den // e.re.denominator))
-        row.append(e.im.numerator * (den // e.im.denominator))
-    return row
+    """Row of a vector of ExactComplex."""
+    return _row_from_parts([f for e in vec for f in (e.re, e.im)])
 
 
 def _row_to_vec(row):
     den = row[0]
     return tuple(
-        ExactComplex(Fraction(row[1 + 2 * j], den), Fraction(row[2 + 2 * j], den))
-        for j in range((len(row) - 1) // 2)
+        ExactComplex(Fraction(row[j], den), Fraction(row[j + 1], den))
+        for j in range(1, len(row), 2)
     )
 
 
@@ -230,115 +247,253 @@ def _coerce_vec(vec):
     return tuple(ExactComplex.coerce(x) for x in vec)
 
 
-class ExactMatrix:
-    """Dense matrix over the Gaussian rationals."""
+def _concat_rows(parts):
+    """Row of the concatenated vectors of canonical rows; with den the lcm
+    of theirs the result is canonical again."""
+    if len(parts) == 1:
+        return parts[0]
+    den = lcm(*(p[0] for p in parts))
+    out = [den]
+    for p in parts:
+        f = den // p[0]
+        out.extend(p[1:] if f == 1 else [v * f for v in p[1:]])
+    return tuple(out)
 
-    __slots__ = ("entries", "rows", "cols")
+
+def _conj_row(row):
+    out = list(row)
+    out[2::2] = [-v for v in row[2::2]]
+    return tuple(out)
+
+
+def _add_rows(r, s):
+    """Canonical row of the sum of the vectors of rows r and s."""
+    dr, ds = r[0], s[0]
+    if dr == ds:
+        out = [dr]
+        out.extend(a + b for a, b in zip(r[1:], s[1:]))
+    else:
+        den = lcm(dr, ds)
+        fr, fs = den // dr, den // ds
+        out = [den]
+        out.extend(a * fr + b * fs for a, b in zip(r[1:], s[1:]))
+    return _canon(out)
+
+
+def _tuples(rows):
+    return tuple(map(tuple, rows))
+
+
+def _bareiss(rows):
+    """Pivots of fraction-free elimination over Z[i] (Bareiss 1968) of the
+    square matrix of kernel rows, each row multiplied by its den.
+
+    Rows are swapped only to replace a zero pivot.  Pivot k, as (re, im)
+    ints, is the k-th leading principal minor of the integer matrix after
+    the swaps made so far; elimination stops after a zero pivot that no
+    swap can replace.  Returns (pivots, number of swaps)."""
+    n = len(rows)
+    re = [list(r[1::2]) for r in rows]
+    im = [list(r[2::2]) for r in rows]
+    pr, pi = 1, 0
+    swaps = 0
+    pivots = []
+    for k in range(n):
+        if not (re[k][k] or im[k][k]):
+            for i in range(k + 1, n):
+                if re[i][k] or im[i][k]:
+                    re[k], re[i] = re[i], re[k]
+                    im[k], im[i] = im[i], im[k]
+                    swaps += 1
+                    break
+        a, b = re[k][k], im[k][k]
+        pivots.append((a, b))
+        if not (a or b):
+            break
+        nrm = pr * pr + pi * pi
+        rk, ik = re[k], im[k]
+        for i in range(k + 1, n):
+            ri, ii = re[i], im[i]
+            c, d = ri[k], ii[k]
+            for j in range(k + 1, n):
+                # (pivot * m_ij - m_ik * m_kj) / previous pivot, exact in Z[i]
+                x = a * ri[j] - b * ii[j] - c * rk[j] + d * ik[j]
+                y = a * ii[j] + b * ri[j] - c * ik[j] - d * rk[j]
+                ri[j] = (x * pr + y * pi) // nrm
+                ii[j] = (y * pr - x * pi) // nrm
+        pr, pi = a, b
+    return pivots, swaps
+
+
+class ExactMatrix:
+    """Dense matrix over the Gaussian rationals, stored as one canonical
+    kernel row per matrix row."""
+
+    __slots__ = ("_rows", "rows", "cols")
 
     def __init__(self, entries):
-        ents = tuple(_coerce_vec(r) for r in entries)
-        if not ents:
+        vecs = [_coerce_vec(r) for r in entries]
+        if not vecs:
             raise ValueError("ExactMatrix needs at least one row")
-        ncols = len(ents[0])
-        if any(len(r) != ncols for r in ents):
+        ncols = len(vecs[0])
+        if any(len(v) != ncols for v in vecs):
             raise ValueError("ragged rows")
-        object.__setattr__(self, "entries", ents)
-        object.__setattr__(self, "rows", len(ents))
+        object.__setattr__(self, "_rows", tuple(_vec_to_row(v) for v in vecs))
+        object.__setattr__(self, "rows", len(vecs))
         object.__setattr__(self, "cols", ncols)
+
+    @classmethod
+    def _from_rows(cls, rows, cols):
+        """Matrix on a tuple of canonical row tuples (taken as they are)."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "_rows", rows)
+        object.__setattr__(m, "rows", len(rows))
+        object.__setattr__(m, "cols", cols)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
     def identity(cls, n):
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls._diagonal_rows([(1, 1, 0)] * n)
 
     @classmethod
     def zeros(cls, r, c):
-        return cls([[_ZERO] * c for _ in range(r)])
+        return cls._from_rows(((1,) + (0,) * (2 * c),) * r, c)
 
     @classmethod
     def diagonal(cls, values):
-        vals = _coerce_vec(values)
-        n = len(vals)
-        return cls([[vals[i] if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls._diagonal_rows([_vec_to_row((v,)) for v in _coerce_vec(values)])
+
+    @classmethod
+    def _diagonal_rows(cls, entries):
+        """Diagonal matrix of the (den, a, b) rows of its entries."""
+        n = len(entries)
+        return cls._from_rows(
+            tuple(
+                (den,) + (0,) * (2 * i) + (a, b) + (0,) * (2 * (n - 1 - i))
+                for i, (den, a, b) in enumerate(entries)
+            ),
+            n,
+        )
+
+    @classmethod
+    def blocks(cls, grid):
+        """Block matrix from a grid (list of lists) of matrices; the blocks
+        of a grid row have equal row counts, and every grid row the same
+        total column count."""
+        cols = sum(m.cols for m in grid[0])
+        rows = []
+        for line in grid:
+            if sum(m.cols for m in line) != cols or any(m.rows != line[0].rows for m in line):
+                raise ValueError("block shapes do not fit")
+            rows.extend(_concat_rows(parts) for parts in zip(*(m._rows for m in line)))
+        return cls._from_rows(tuple(rows), cols)
 
     def __getitem__(self, ij):
+        """m[i, j] is an entry; with a slice for i or j, a submatrix."""
         i, j = ij
-        return self.entries[i][j]
+        if not isinstance(i, slice) and not isinstance(j, slice):
+            row = self._rows[i]
+            c = 1 + 2 * range(self.cols)[j]
+            return ExactComplex(Fraction(row[c], row[0]), Fraction(row[c + 1], row[0]))
+        rows = self._rows[i] if isinstance(i, slice) else (self._rows[i],)
+        cols = range(self.cols)
+        if isinstance(j, slice):
+            cols = cols[j]
+        else:
+            cols = range(cols[j], cols[j] + 1)
+        if cols != range(self.cols):
+            rows = tuple(
+                _canon([r[0], *(v for c in cols for v in r[1 + 2 * c : 3 + 2 * c])])
+                for r in rows
+            )
+        return ExactMatrix._from_rows(rows, len(cols))
+
+    @property
+    def entries(self):
+        """The entries as tuples of ExactComplex, built on each read."""
+        return tuple(_row_to_vec(r) for r in self._rows)
 
     @property
     def shape(self):
         return (self.rows, self.cols)
 
-    def _kernel_rows(self):
-        return [_vec_to_row(r) for r in self.entries]
-
-    @classmethod
-    def _from_kernel_rows(cls, rows):
-        return cls([_row_to_vec(r) for r in rows])
-
     def __matmul__(self, other):
         if isinstance(other, ExactMatrix):
             if self.cols != other.rows:
                 raise ValueError("shape mismatch in matmul")
-            rows = _kernel.matmul(self._kernel_rows(), other._kernel_rows(), other.cols)
-            return ExactMatrix._from_kernel_rows(rows)
+            rows = _kernel.matmul(self._rows, other._rows, other.cols)
+            return ExactMatrix._from_rows(_tuples(rows), other.cols)
         # vector application
         vec = _coerce_vec(other)
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        col = ExactMatrix([[v] for v in vec])
-        return tuple(r[0] for r in (self @ col).entries)
+        col = _kernel.matmul(self._rows, [_vec_to_row((v,)) for v in vec], 1)
+        return tuple(_row_to_vec(r)[0] for r in col)
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
+        return ExactMatrix._from_rows(
+            tuple(_add_rows(r, s) for r, s in zip(self._rows, other._rows)), self.cols
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return ExactMatrix([[-a for a in r] for r in self.entries])
+        return ExactMatrix._from_rows(
+            tuple((r[0], *(-v for v in r[1:])) for r in self._rows), self.cols
+        )
 
     def scale(self, s):
-        s = ExactComplex.coerce(s)
-        return ExactMatrix([[s * a for a in r] for r in self.entries])
+        d, p, q = _vec_to_row((ExactComplex.coerce(s),))
+        rows = []
+        for r in self._rows:
+            out = [r[0] * d]
+            for j in range(1, len(r), 2):
+                a, b = r[j], r[j + 1]
+                out += (a * p - b * q, a * q + b * p)
+            rows.append(_canon(out))
+        return ExactMatrix._from_rows(tuple(rows), self.cols)
 
     def transpose(self):
-        return ExactMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        rows = self._rows
+        out = []
+        for j in range(1, 2 * self.cols, 2):
+            den = lcm(*(r[0] for r in rows if r[j] or r[j + 1]))
+            row = [den]
+            for r in rows:
+                f = den // r[0] if r[j] or r[j + 1] else 0
+                row += (r[j] * f, r[j + 1] * f)
+            out.append(_canon(row))
+        return ExactMatrix._from_rows(tuple(out), self.rows)
 
     @property
     def T(self):
         return self.transpose()
 
     def conj(self):
-        return ExactMatrix([[a.conjugate() for a in r] for r in self.entries])
+        return ExactMatrix._from_rows(tuple(_conj_row(r) for r in self._rows), self.cols)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for r in self.entries for a in r)
+        return not any(any(r[1:]) for r in self._rows)
 
     def is_real(self) -> bool:
-        return all(a.is_real() for r in self.entries for a in r)
+        return not any(any(r[2::2]) for r in self._rows)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return self.cols == other.cols and self._rows == other._rows
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.cols, self._rows))
 
     def rank(self) -> int:
-        _, pivots = _kernel.rref(self._kernel_rows(), self.cols)
+        _, pivots = _kernel.rref(self._rows, self.cols)
         return len(pivots)
 
     def inverse(self) -> "ExactMatrix":
@@ -346,48 +501,52 @@ class ExactMatrix:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
         aug = []
-        for i, row in enumerate(self.entries):
-            ext = list(row) + [_ONE if j == i else _ZERO for j in range(n)]
-            aug.append(_vec_to_row(ext))
+        for i, r in enumerate(self._rows):
+            ext = list(r) + [0] * (2 * n)
+            ext[1 + 2 * (n + i)] = r[0]
+            aug.append(ext)
         red, pivots = _kernel.rref(aug, 2 * n)
         if pivots[:n] != list(range(n)) or len(pivots) < n:
             raise ZeroDivisionError("matrix is singular")
-        vecs = [_row_to_vec(r)[n:] for r in red]
-        return ExactMatrix(vecs)
+        # [I | A^-1]: the left half is a unit row, so the right half is canonical
+        return ExactMatrix._from_rows(tuple((r[0], *r[1 + 2 * n :]) for r in red), n)
 
     def det(self) -> ExactComplex:
         if self.rows != self.cols:
             raise ValueError("det of non-square matrix")
-        n = self.rows
-        a = [list(r) for r in self.entries]
-        out = _ONE
-        for c in range(n):
-            piv = next((i for i in range(c, n) if not a[i][c].is_zero()), None)
-            if piv is None:
-                return ExactComplex(0)
-            if piv != c:
-                a[c], a[piv] = a[piv], a[c]
-                out = -out
-            out = out * a[c][c]
-            inv = _ONE / a[c][c]
-            for i in range(c + 1, n):
-                f = a[i][c] * inv
-                if f.is_zero():
-                    continue
-                for j in range(c, n):
-                    a[i][j] = a[i][j] - f * a[c][j]
-        return out
+        pivots, swaps = _bareiss(self._rows)
+        a, b = pivots[-1]
+        sign = -1 if swaps % 2 else 1
+        den = prod(r[0] for r in self._rows)
+        return ExactComplex(Fraction(sign * a, den), Fraction(sign * b, den))
 
     def to_numpy(self):
         import numpy as np
 
+        # int / int is correctly rounded, as float(Fraction) is
         return np.array(
-            [[e.to_complex() for e in row] for row in self.entries], dtype=complex
+            [
+                [complex(r[j] / r[0], r[j + 1] / r[0]) for j in range(1, len(r), 2)]
+                for r in self._rows
+            ],
+            dtype=complex,
         )
 
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in row) for row in self.entries)
         return f"ExactMatrix[{body}]"
+
+
+def leading_minors_positive(m: ExactMatrix) -> bool:
+    """Whether every leading principal minor of the square matrix m is real
+    and positive (for a hermitian m: positive definite, by Sylvester's
+    criterion).  One fraction-free elimination: while no row was swapped,
+    its k-th pivot is the k-th leading minor times the positive product of
+    the first k row denominators, and a swap means a leading minor was 0."""
+    if m.rows != m.cols:
+        raise ValueError("leading minors of non-square matrix")
+    pivots, swaps = _bareiss(m._rows)
+    return swaps == 0 and len(pivots) == m.rows and all(b == 0 and a > 0 for a, b in pivots)
 
 
 class Subspace:
@@ -406,16 +565,25 @@ class Subspace:
         raise AttributeError("Subspace is immutable")
 
     @classmethod
+    def _reduced(cls, ambient_dim, rows):
+        """Subspace spanned by kernel rows of length 2 * ambient_dim + 1."""
+        if not rows:
+            return cls(ambient_dim)
+        red, pivots = _kernel.rref(rows, ambient_dim)
+        return cls(ambient_dim, _tuples(red), tuple(pivots))
+
+    @classmethod
     def span(cls, ambient_dim, vectors):
         vecs = [_coerce_vec(v) for v in vectors]
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dimension")
-        if not vecs:
-            return cls(ambient_dim)
-        rows = [_vec_to_row(v) for v in vecs]
-        red, pivots = _kernel.rref(rows, ambient_dim)
-        return cls(ambient_dim, tuple(tuple(r) for r in red), tuple(pivots))
+        return cls._reduced(ambient_dim, [_vec_to_row(v) for v in vecs])
+
+    @classmethod
+    def row_space(cls, m: ExactMatrix):
+        """Span of the rows of m in C^{m.cols}."""
+        return cls._reduced(m.cols, m._rows)
 
     @classmethod
     def zero(cls, ambient_dim):
@@ -423,7 +591,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim):
-        return cls.span(ambient_dim, ExactMatrix.identity(ambient_dim).entries)
+        return cls(ambient_dim, ExactMatrix.identity(ambient_dim)._rows, tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -431,7 +599,12 @@ class Subspace:
 
     @property
     def basis(self):
-        return tuple(_row_to_vec(list(r)) for r in self._rows)
+        return tuple(_row_to_vec(r) for r in self._rows)
+
+    @property
+    def basis_matrix(self) -> ExactMatrix:
+        """The canonical basis as the rows of a dim x ambient_dim matrix."""
+        return ExactMatrix._from_rows(self._rows, self.ambient_dim)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -451,8 +624,7 @@ class Subspace:
             return True
         if self.dim == 0:
             return False
-        rows = [list(r) for r in self._rows] + [_vec_to_row(vec)]
-        _, pivots = _kernel.rref(rows, self.ambient_dim)
+        _, pivots = _kernel.rref(self._rows + (_vec_to_row(vec),), self.ambient_dim)
         return len(pivots) == self.dim
 
     def is_subspace_of(self, other) -> bool:
@@ -461,34 +633,41 @@ class Subspace:
             return True
         if self.dim > other.dim:
             return False
-        rows = [list(r) for r in other._rows] + [list(r) for r in self._rows]
-        _, pivots = _kernel.rref(rows, self.ambient_dim)
+        _, pivots = _kernel.rref(other._rows + self._rows, self.ambient_dim)
         return len(pivots) == other.dim
 
     def sum(self, other) -> "Subspace":
         self._check_ambient(other)
-        return Subspace.span(self.ambient_dim, self.basis + other.basis)
+        if other.dim == 0 or self.is_full():
+            return self
+        if self.dim == 0 or other.is_full():
+            return other
+        return Subspace._reduced(self.ambient_dim, self._rows + other._rows)
 
     __add__ = sum
 
     def intersection(self, other) -> "Subspace":
-        """Zassenhaus: reduce [[U|U],[W|0]]; rows with zero left half carry
-        a basis of the intersection in their right half."""
+        """Zassenhaus: reduce [[U|U],[W|0]].  The reduced rows whose pivot
+        lies in the right half have a zero left half, and their right halves
+        are the canonical RREF basis of the intersection."""
         self._check_ambient(other)
         n = self.ambient_dim
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(n)
-        rows = []
-        for r in self._rows:
-            rows.append([r[0]] + list(r[1:]) + list(r[1:]))
-        for r in other._rows:
-            rows.append([r[0]] + list(r[1:]) + [0] * (2 * n))
-        red, _ = _kernel.rref(rows, 2 * n)
-        vecs = []
-        for r in red:
-            if all(v == 0 for v in r[1 : 1 + 2 * n]):
-                vecs.append(_row_to_vec([r[0]] + list(r[1 + 2 * n :])))
-        return Subspace.span(n, vecs)
+        if self.is_full():
+            return other
+        if other.is_full():
+            return self
+        pad = (0,) * (2 * n)
+        rows = [r + r[1:] for r in self._rows]
+        rows.extend(r + pad for r in other._rows)
+        red, pivots = _kernel.rref(rows, 2 * n)
+        basis, piv = [], []
+        for r, p in zip(red, pivots):
+            if p >= n:
+                basis.append((r[0], *r[1 + 2 * n :]))
+                piv.append(p - n)
+        return Subspace(n, tuple(basis), tuple(piv))
 
     __and__ = intersection
 
@@ -498,11 +677,12 @@ class Subspace:
             raise ValueError("matrix shape does not match ambient dimension")
         if self.dim == 0:
             return Subspace.zero(m.rows)
-        imgs = [m @ b for b in self.basis]
-        return Subspace.span(m.rows, imgs)
+        # the images m b are the rows of B m^T
+        return Subspace._reduced(m.rows, _kernel.matmul(self._rows, m.T._rows, m.rows))
 
     def conjugate(self) -> "Subspace":
-        return Subspace.span(self.ambient_dim, [[e.conjugate() for e in b] for b in self.basis])
+        # conjugation keeps pivots 1 and zeros 0: an RREF stays an RREF
+        return Subspace(self.ambient_dim, tuple(_conj_row(r) for r in self._rows), self.pivots)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -517,24 +697,34 @@ class Subspace:
         return f"Subspace(dim {self.dim} of C^{self.ambient_dim}: {', '.join(vecs) or '0'})"
 
 
+def _real_parts(row):
+    """The real and imaginary parts of a row's numerators, each as the
+    numerators of a real row (zero imaginary parts)."""
+    x = [v for a in row[1::2] for v in (a, 0)]
+    y = [v for b in row[2::2] for v in (b, 0)]
+    return x, y
+
+
 def real_rep_linear(m: ExactMatrix) -> ExactMatrix:
     """Real 2r x 2c representation [[X, -Y], [Y, X]] of a C-linear map
     X + iY, acting on stacked (Re v, Im v) coordinates."""
-    x = [[e.re for e in row] for row in m.entries]
-    y = [[e.im for e in row] for row in m.entries]
-    top = [xr + [-v for v in yr] for xr, yr in zip(x, y)]
-    bot = [yr + xr for xr, yr in zip(x, y)]
-    return ExactMatrix([[ExactComplex(v) for v in row] for row in top + bot])
+    top, bot = [], []
+    for r in m._rows:
+        x, y = _real_parts(r)
+        top.append(_canon([r[0], *x, *(-v for v in y)]))
+        bot.append(_canon([r[0], *y, *x]))
+    return ExactMatrix._from_rows(tuple(top + bot), 2 * m.cols)
 
 
 def real_rep_antilinear(m: ExactMatrix) -> ExactMatrix:
     """Real representation [[X, Y], [Y, -X]] of the antilinear map
     v -> (X + iY) conj(v)."""
-    x = [[e.re for e in row] for row in m.entries]
-    y = [[e.im for e in row] for row in m.entries]
-    top = [xr + yr for xr, yr in zip(x, y)]
-    bot = [yr + [-v for v in xr] for xr, yr in zip(x, y)]
-    return ExactMatrix([[ExactComplex(v) for v in row] for row in top + bot])
+    top, bot = [], []
+    for r in m._rows:
+        x, y = _real_parts(r)
+        top.append(_canon([r[0], *x, *y]))
+        bot.append(_canon([r[0], *y, *(-v for v in x)]))
+    return ExactMatrix._from_rows(tuple(top + bot), 2 * m.cols)
 
 
 def std_complex_structure(m: int) -> ExactMatrix:
@@ -547,10 +737,15 @@ def rationalize_matrix(array, max_denominator: int = 10**12):
     worst = 0.0
     rows = []
     for row in array:
-        out = []
+        parts = []
         for v in row:
-            e, err = ExactComplex.from_complex(v, max_denominator)
-            out.append(e)
+            re, im, err = _rationalize(v, max_denominator)
+            parts += (re, im)
             worst = max(worst, err)
-        rows.append(out)
-    return ExactMatrix(rows), worst
+        rows.append(_row_from_parts(parts))
+    if not rows:
+        raise ValueError("ExactMatrix needs at least one row")
+    ncols = (len(rows[0]) - 1) // 2
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged rows")
+    return ExactMatrix._from_rows(tuple(rows), ncols), worst

@@ -17,6 +17,7 @@ from .exact import (
     ExactComplex,
     ExactMatrix,
     Subspace,
+    leading_minors_positive,
     rationalize_matrix,
     real_rep_antilinear,
     real_rep_linear,
@@ -44,28 +45,17 @@ __all__ = [
 _ZERO = ExactComplex(0)
 _ONE = ExactComplex(1)
 _I = ExactComplex(0, 1)
+_I_POWERS = (_ONE, _I, -_ONE, -_I)   # i^k at index k mod 4
 
 
 class NotPureError(ValueError):
     """The filtration pair does not define a pure structure."""
 
 
-def _vec_to_real(vec):
-    """C^m vector -> stacked (Re, Im) coordinates of length 2m."""
-    return tuple(ExactComplex(e.re) for e in vec) + tuple(ExactComplex(e.im) for e in vec)
-
-
-def _real_to_vec(coords):
-    m = len(coords) // 2
-    for c in coords:
-        if not c.is_real():
-            raise ValueError("real coordinates expected")
-    return tuple(ExactComplex(coords[j].re, coords[m + j].re) for j in range(m))
-
-
 class RealStructure:
     """Antilinear involution of C^m, stored as its real 2m x 2m action
-    matrix on stacked (Re v, Im v) coordinates."""
+    matrix on stacked (Re v, Im v) coordinates and as the complex m x m
+    matrix S with r(v) = S conj(v)."""
 
     def __init__(self, matrix: ExactMatrix):
         if matrix.rows != matrix.cols or matrix.rows % 2:
@@ -81,15 +71,13 @@ class RealStructure:
             raise ValueError("real structure must anticommute with i")
         self.matrix = matrix
         self.m = m
+        # matrix = [[X, Y], [Y, -X]] is the real form of v -> (X + iY) conj(v)
+        self.s = matrix[:m, :m] + matrix[m:, :m].scale(_I)
 
     @classmethod
     def conjugation(cls, m: int) -> "RealStructure":
         """Coordinatewise complex conjugation."""
-        rows = []
-        for i in range(2 * m):
-            sign = _ONE if i < m else ExactComplex(-1)
-            rows.append([sign if j == i else _ZERO for j in range(2 * m)])
-        return cls(ExactMatrix(rows))
+        return cls.from_antilinear(ExactMatrix.identity(m))
 
     @classmethod
     def from_antilinear(cls, s: ExactMatrix) -> "RealStructure":
@@ -97,15 +85,15 @@ class RealStructure:
         return cls(real_rep_antilinear(s))
 
     def apply_vec(self, vec):
-        vec = tuple(ExactComplex.coerce(v) for v in vec)
+        vec = tuple(ExactComplex.coerce(v).conjugate() for v in vec)
         if len(vec) != self.m:
             raise ValueError("vector length mismatch")
-        return _real_to_vec(self.matrix @ _vec_to_real(vec))
+        return self.s @ vec
 
     def apply_subspace(self, s: Subspace) -> Subspace:
         if s.ambient_dim != self.m:
             raise ValueError("ambient dimension mismatch")
-        return Subspace.span(self.m, [self.apply_vec(b) for b in s.basis])
+        return s.conjugate().apply(self.s)
 
     def __eq__(self, other):
         if not isinstance(other, RealStructure):
@@ -227,8 +215,7 @@ class Polarization:
     def __post_init__(self):
         if self.q.rows != self.q.cols:
             raise ValueError("polarization matrix must be square")
-        sign = ExactComplex((-1) ** self.weight)
-        if self.q.T != self.q.scale(sign):
+        if self.q.T != (self.q if self.weight % 2 == 0 else -self.q):
             raise ValueError("polarization must satisfy Q^T = (-1)^p Q")
         if self.q.rank() != self.q.rows:
             raise ValueError("polarization must be nondegenerate")
@@ -328,14 +315,7 @@ class PolarizationReport:
 
 
 def _hermitian_positive_definite(m: ExactMatrix) -> bool:
-    if m != m.conj().T:
-        return False
-    for k in range(1, m.rows + 1):
-        minor = ExactMatrix([row[:k] for row in m.entries[:k]])
-        d = minor.det()
-        if not d.is_real() or d.re <= 0:
-            return False
-    return True
+    return m == m.conj().T and leading_minors_positive(m)
 
 
 def check_polarization(h: HodgeStructure, q: Polarization) -> PolarizationReport:
@@ -351,37 +331,23 @@ def check_polarization(h: HodgeStructure, q: Polarization) -> PolarizationReport
     parity = q.weight == h.weight
     keys = sorted(h.components)
     spans = {}
-    rows = []
+    start = 0
     for key in keys:
-        basis = h.components[key].basis
-        spans[key] = slice(len(rows), len(rows) + len(basis))
-        rows.extend(basis)
-    b = ExactMatrix(rows)
-    m = h.ambient_dim
-    rmat = h.real_structure.matrix.entries
-    s = ExactMatrix(
-        [[rmat[i][j] + _I * rmat[m + i][j] for j in range(m)] for i in range(m)]
-    )
+        spans[key] = slice(start, start + h.components[key].dim)
+        start += h.components[key].dim
+    b = ExactMatrix.blocks([[h.components[key].basis_matrix] for key in keys])
     pairs = b @ q.q @ b.T
-    conj_pairs = b @ (q.q @ s) @ b.conj().T
-
-    def block(mat, x, y):
-        return [row[spans[y]] for row in mat.entries[spans[x]]]
-
+    conj_pairs = b @ (q.q @ h.real_structure.s) @ b.conj().T
     # conjugate components pair; everything else is orthogonal
     ortho = all(
-        e.is_zero()
+        pairs[spans[(k, l)], spans[other]].is_zero()
         for k, l in keys
         for other in keys
         if other != (l, k)
-        for row in block(pairs, (k, l), other)
-        for e in row
     )
     positivity = {}
     for k, l in keys:
-        factor = _I ** (k - l)
-        gram = block(conj_pairs, (k, l), (k, l))
-        gram = ExactMatrix([[factor * e for e in row] for row in gram])
+        gram = conj_pairs[spans[(k, l)], spans[(k, l)]].scale(_I_POWERS[(k - l) % 4])
         positivity[(k, l)] = _hermitian_positive_definite(gram)
     return PolarizationReport(
         parity=parity,
@@ -399,7 +365,7 @@ class QuaternionicStructure:
             raise ValueError("I and J must be square of equal size")
         if not (imat.is_real() and jmat.is_real()):
             raise ValueError("I and J must be real matrices")
-        neg_ident = ExactMatrix.identity(imat.rows).scale(ExactComplex(-1))
+        neg_ident = -ExactMatrix.identity(imat.rows)
         if imat @ imat != neg_ident or jmat @ jmat != neg_ident:
             raise ValueError("I^2 = J^2 = -1 fails")
         if imat @ jmat != (-(jmat @ imat)):
@@ -426,12 +392,10 @@ def quaternionic_from_hodge(h: HodgeStructure) -> QuaternionicStructure:
     vp = h.component(1, 0)
     vpp = h.component(0, 1)
     m = h.ambient_dim
-    cols = list(vp.basis) + list(vpp.basis)
-    b = ExactMatrix([[cols[j][i] for j in range(m)] for i in range(m)])
-    sel = ExactMatrix.diagonal(
-        [_ONE] * vp.dim + [_ZERO] * vpp.dim
-    )
-    p_prime = b @ sel @ b.inverse()
+    # b has the bases of V^{1,0} and V^{0,1} as its columns, so the
+    # projection onto V^{1,0} along V^{0,1} is b[:, :d] b^-1[:d, :]
+    b = ExactMatrix.blocks([[vp.basis_matrix], [vpp.basis_matrix]]).T
+    p_prime = b[:, : vp.dim] @ b.inverse()[: vp.dim, :]
     diff = p_prime + p_prime - ExactMatrix.identity(m)  # P' - P'' = 2P' - 1
     jmat = h.real_structure.matrix @ real_rep_linear(diff)
     return QuaternionicStructure(std_complex_structure(m), jmat)
@@ -465,43 +429,34 @@ def hodge_from_quaternionic(q: QuaternionicStructure) -> QuaternionicChart:
         raise ValueError("quaternionic structures need real dimension 4n")
     k = n4 // 4
     m = n4 // 2
-    ident = ExactMatrix.identity(n4)
-    std = [tuple(row) for row in ident.entries]
-    blocks = []
+    # rows t, n4 + t, 2 n4 + t, 3 n4 + t: e_t and its images under I, J, K
+    gens = ExactMatrix.blocks(
+        [[ExactMatrix.identity(n4)], [q.imat.T], [q.jmat.T], [q.kmat.T]]
+    )
+    chosen = []
     span = Subspace.zero(n4)
-    for e in std:
-        if span.contains(e):
-            continue
-        v = e
-        iv = q.imat @ v
-        jv = q.jmat @ v
-        ijv = q.imat @ jv
-        grown = span + Subspace.span(n4, [v, iv, jv, ijv])
+    for t in range(n4):
+        grown = span + Subspace.row_space(gens[t::n4, :])
+        if grown.dim == span.dim:
+            continue  # e_t lies in span, which is I- and J-invariant
         if grown.dim != span.dim + 4:
             raise ValueError("quaternionic relations fail to generate free blocks")
-        blocks.append((v, jv))
+        chosen.append(t)
         span = grown
         if span.is_full():
             break
-    assert len(blocks) == k
-    bvecs = [v for v, _ in blocks] + [jv for _, jv in blocks]
-    columns = bvecs + [q.imat @ b for b in bvecs]
-    basis = ExactMatrix([[columns[j][i] for j in range(n4)] for i in range(n4)])
-    chart = basis.inverse()
-    vp = Subspace.span(
-        m, [tuple(_ONE if t == j else _ZERO for t in range(m)) for j in range(k)]
+    assert len(chosen) == k
+    # basis columns: the chosen v = e_t, then J v, then I v, then I J v
+    columns = ExactMatrix.blocks(
+        [[gens[g * n4 + t : g * n4 + t + 1, :]] for g in (0, 2, 1, 3) for t in chosen]
     )
-    vpp = Subspace.span(
-        m, [tuple(_ONE if t == k + j else _ZERO for t in range(m)) for j in range(k)]
-    )
-    swap = ExactMatrix(
-        [
-            [
-                _ONE if (i < k and j == k + i) or (i >= k and j == i - k) else _ZERO
-                for j in range(m)
-            ]
-            for i in range(m)
-        ]
+    chart = columns.T.inverse()
+    ident = ExactMatrix.identity(m)
+    vp = Subspace.row_space(ident[:k, :])
+    vpp = Subspace.row_space(ident[k:, :])
+    zero = ExactMatrix.zeros(k, k)
+    swap = ExactMatrix.blocks(
+        [[zero, ExactMatrix.identity(k)], [ExactMatrix.identity(k), zero]]
     )
     r = RealStructure.from_antilinear(swap)
     h = HodgeStructure(1, {(1, 0): vp, (0, 1): vpp}, r)

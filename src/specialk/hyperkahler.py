@@ -249,17 +249,8 @@ def _exact_quaternionic_at(prep: Prepotential, pt: CotangentPoint,
     ibase = rationalize_matrix(geometry.complex_structure(n).astype(complex))[0]
     zero = ExactMatrix.zeros(n2, n2)
     ginv = g_exact.inverse()
-
-    def blocks(tl, tr, bl, br):
-        rows = []
-        for i in range(n2):
-            rows.append(list(tl.entries[i]) + list(tr.entries[i]))
-        for i in range(n2):
-            rows.append(list(bl.entries[i]) + list(br.entries[i]))
-        return ExactMatrix(rows)
-
-    i_frame = blocks(ibase, zero, zero, ibase.T)
-    j_frame = blocks(zero, -ginv, g_exact, zero)
+    i_frame = ExactMatrix.blocks([[ibase, zero], [zero, ibase.T]])
+    j_frame = ExactMatrix.blocks([[zero, -ginv], [g_exact, zero]])
     s_inv = s_exact.inverse()
     imat = s_exact @ i_frame @ s_inv
     jmat = s_exact @ j_frame @ s_inv
@@ -294,18 +285,23 @@ def correspondence_check(prep: Prepotential, pt: CotangentPoint) -> float:
     """Compare J built from the cotangent-fiber identification with J
     reconstructed from the pointwise weight-1 Hodge structure via the
     exact quaternionic correspondence, pushed through the same
-    identifications.  Returns the sup-norm difference."""
+    identifications.  Returns the sup-norm difference, or NaN (the point
+    fails) when the metric or the identification is numerically singular,
+    as for an overflowed frame."""
     fr = tangent_split_at(prep, pt)
     n = prep.n
     j_hodge = _tangent_hodge_j(n)
 
     # identification chi: T(T*M) -> complexified tangent space
     p10, p01 = geometry.type_projectors(n)
-    ginv = np.linalg.inv(fr.g_real)
-    chi_frame = np.hstack([p10, p01 @ ginv])
-    chi = chi_frame @ fr.s_inv
-    chi_real = np.vstack([chi.real, chi.imag])
-    j_via_hodge = np.linalg.inv(chi_real) @ j_hodge @ chi_real
+    try:
+        ginv = np.linalg.inv(fr.g_real)
+        chi_frame = np.hstack([p10, p01 @ ginv])
+        chi = chi_frame @ fr.s_inv
+        chi_real = np.vstack([chi.real, chi.imag])
+        j_via_hodge = np.linalg.inv(chi_real) @ j_hodge @ chi_real
+    except np.linalg.LinAlgError:
+        return float("nan")
     return float(np.max(np.abs(fr.jmat - j_via_hodge)))
 
 

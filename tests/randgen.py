@@ -62,7 +62,7 @@ def real_invertible(rng, n, num=4):
 
 
 def columns(m: ExactMatrix):
-    return [tuple(m.entries[i][j] for i in range(m.rows)) for j in range(m.cols)]
+    return list(m.T.entries)
 
 
 def swap_permutation(m: int) -> ExactMatrix:

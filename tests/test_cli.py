@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,10 @@ from specialk.utils import stable_json
 
 PURE_C2 = {"dim": 2, "steps": [[["1", "0"], ["0", "1"]], [["1", "i"]]]}
 IMPURE_C2 = {"dim": 2, "steps": [[["1", "0"], ["0", "1"]], [["1", "0"]]]}
+FIXTURES = Path(__file__).parent / "fixtures"
+# stdout of `rees split|purity` on the fixture filtrations; exact arithmetic
+# makes these bytes the same on every platform
+REES_REPORTS = json.loads((FIXTURES / "rees_reports.json").read_text())
 
 
 def write(tmp_path, name, obj):
@@ -100,6 +105,10 @@ class TestVerify:
             ["verify", "--step", "nan"],
             ["verify", "--step", "inf"],
             ["verify", "--step", "small"],
+            ["verify", "--tol", "nan"],
+            ["verify", "--tol", "inf"],
+            ["verify", "--tol", "0"],
+            ["verify", "--tol", "-1"],
             ["hk", "correspondence", "--points", "0"],
             ["hk", "nijenhuis", "--step", "-1e-4"],
             ["twistor", "normal-bundle", "--step", "0"],
@@ -222,6 +231,16 @@ class TestRees:
         path = write(tmp_path, "chain.json", obj)
         assert run(["rees", "split", path]) == 4
 
+    @pytest.mark.parametrize(
+        "fixture,command",
+        [(f, c) for f, reports in REES_REPORTS.items() for c in reports],
+    )
+    def test_fixture_report_bytes(self, fixture, command, capsys):
+        """One filtration conjugated by the standard real structure, one
+        with explicit conjugate_steps."""
+        assert run(["rees", *command.split(), str(FIXTURES / fixture)]) == 0
+        assert capsys.readouterr().out == REES_REPORTS[fixture][command]
+
     def test_zero_denominator_is_data_error(self, tmp_path, capsys):
         path = write(tmp_path, "zero.json", {"dim": 2, "steps": [[["1/0", "1"]]]})
         assert run(["rees", "split", path]) == 4
@@ -250,6 +269,19 @@ class TestHyperkahler:
         assert code == 0
         rep = json.loads(out.read_text())
         assert rep["summary"]["max_residuals"]["correspondence"] < 1e-9
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_correspondence_singular_identification_prints_null(self, capsys):
+        """Near lambda = 1e-300 the frame overflows and the identification
+        matrix is singular: the residual is null and the point fails."""
+        argv = ["hk", "correspondence", "--entry", "swlog(lambda=1e-300)", "--points", "1"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        rep = strict_loads(captured.out)
+        assert rep["samples"][0]["residuals"]["correspondence"] is None
+        assert rep["summary"]["pass"] is False
+        assert "Traceback" not in captured.err
 
     def test_nijenhuis_swlog(self, tmp_path):
         out = tmp_path / "n.json"
