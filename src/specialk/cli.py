@@ -53,8 +53,11 @@ def _sweep(args, command, sampler, sample_at, header=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        points = sampler(prep, args.points, args.seed, h=args.step)
-        samples = [sample_at(prep, p, args) for p in points]
+        # an overflowed frame shows up as NaN residuals, which print as
+        # null and fail the point; numpy's own warnings would only repeat it
+        with np.errstate(all="ignore"):
+            points = sampler(prep, args.points, args.seed, h=args.step)
+            samples = [sample_at(prep, p, args) for p in points]
     except (geometry.SamplingError, geometry.StencilError) as exc:
         # stencil points print as numpy arrays, which wrap for large n
         print("error: " + " ".join(str(exc).split()), file=sys.stderr)
@@ -125,11 +128,12 @@ def _load_rees_input(path):
         fbar = Filtration.from_json({"dim": obj["dim"], "steps": obj["conjugate_steps"]})
     else:
         if obj.get("conjugate", False) and "real_structure" in obj:
-            rows = [
-                [ExactComplex.parse(str(e)) for e in row]
-                for row in obj["real_structure"]
-            ]
-            rstruct = RealStructure(ExactMatrix(rows))
+            rows = obj["real_structure"]
+            if not (isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows)):
+                raise ValueError("'real_structure' must be a list of rows")
+            rstruct = RealStructure(
+                ExactMatrix([[ExactComplex.parse(str(e)) for e in row] for row in rows])
+            )
         else:
             rstruct = RealStructure.conjugation(n)
         fbar = filt.conjugate(rstruct)

@@ -181,10 +181,10 @@ class Filtration:
     def from_json(cls, obj) -> "Filtration":
         if not isinstance(obj, dict):
             raise ValueError("filtration JSON must be an object")
-        try:
-            dim = int(obj["dim"])
-        except (KeyError, TypeError, ValueError):
-            raise ValueError("filtration JSON needs an integer 'dim'") from None
+        dim = obj.get("dim")
+        # bool is an int subclass; a JSON float such as 2.5 or 1e400 is not
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise ValueError("filtration JSON needs an integer 'dim'")
         raw = obj.get("steps")
         if not isinstance(raw, list) or not raw:
             raise ValueError("filtration JSON needs a non-empty 'steps' list")
@@ -428,7 +428,6 @@ def hodge_from_quaternionic(q: QuaternionicStructure) -> QuaternionicChart:
     if n4 % 4:
         raise ValueError("quaternionic structures need real dimension 4n")
     k = n4 // 4
-    m = n4 // 2
     # rows t, n4 + t, 2 n4 + t, 3 n4 + t: e_t and its images under I, J, K
     gens = ExactMatrix.blocks(
         [[ExactMatrix.identity(n4)], [q.imat.T], [q.jmat.T], [q.kmat.T]]
@@ -451,16 +450,23 @@ def hodge_from_quaternionic(q: QuaternionicStructure) -> QuaternionicChart:
         [[gens[g * n4 + t : g * n4 + t + 1, :]] for g in (0, 2, 1, 3) for t in chosen]
     )
     chart = columns.T.inverse()
-    ident = ExactMatrix.identity(m)
-    vp = Subspace.row_space(ident[:k, :])
-    vpp = Subspace.row_space(ident[k:, :])
-    zero = ExactMatrix.zeros(k, k)
-    swap = ExactMatrix.blocks(
-        [[zero, ExactMatrix.identity(k)], [ExactMatrix.identity(k), zero]]
+    return QuaternionicChart(hodge=_chart_hodge_structure(k), chart=chart, source=q)
+
+
+@lru_cache(maxsize=None)
+def _chart_hodge_structure(k: int) -> HodgeStructure:
+    """The model weight-1 structure on C^{2k} in an I-adapted chart:
+    V^{1,0} and V^{0,1} are the first and last k coordinates, and the real
+    structure swaps them.  It depends on k only, so it is built on first
+    use and shared (treat it as read-only)."""
+    ident = ExactMatrix.identity(2 * k)
+    zero, one = ExactMatrix.zeros(k, k), ExactMatrix.identity(k)
+    swap = ExactMatrix.blocks([[zero, one], [one, zero]])
+    return HodgeStructure(
+        1,
+        {(1, 0): Subspace.row_space(ident[:k, :]), (0, 1): Subspace.row_space(ident[k:, :])},
+        RealStructure.from_antilinear(swap),
     )
-    r = RealStructure.from_antilinear(swap)
-    h = HodgeStructure(1, {(1, 0): vp, (0, 1): vpp}, r)
-    return QuaternionicChart(hodge=h, chart=chart, source=q)
 
 
 @lru_cache(maxsize=None)

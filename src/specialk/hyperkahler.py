@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fd, geometry, hodge, rees
-from .exact import ExactMatrix, rationalize_matrix
+from .exact import ExactMatrix, rationalize_matrix, std_complex_structure
 from .prepotentials import Prepotential
 
 __all__ = [
@@ -234,27 +234,25 @@ def kahler_form_closedness(prep: Prepotential, pt: CotangentPoint, h: float = 1e
 
 def _exact_quaternionic_at(prep: Prepotential, pt: CotangentPoint,
                            max_denominator: int, max_error: float):
-    """Rationalize the frame data and rebuild (I, J) exactly, so the
-    quaternion relations hold on the nose for the exact pipeline."""
-    md, s, _ = _frame_blocks(prep, pt)
-    n = prep.n
-    n2 = 2 * n
-    g_exact, err_g = rationalize_matrix(md.g_real.astype(complex), max_denominator)
-    s_exact, err_s = rationalize_matrix(s.astype(complex), max_denominator)
-    err = max(err_g, err_s)
+    """Rationalize g and build the exact pair in the (horizontal, vertical)
+    frame: I = blockdiag(I_base, I_base^T), J = [[0, -g^{-1}], [g, 0]].
+
+    The coordinate pair is the frame pair conjugated by the frame matrix S.
+    An exact conjugation is an isomorphism of quaternionic structures, so
+    it cannot change the Rees splitting type; g is the only float datum."""
+    g_exact, err = rationalize_matrix(
+        geometry.metric_at(prep, pt.z).g_real.astype(complex), max_denominator
+    )
     if err > max_error:
         raise RationalizationError(
             f"point too ill-conditioned (rationalization error {err:.3e})"
         )
-    ibase = rationalize_matrix(geometry.complex_structure(n).astype(complex))[0]
+    n2 = 2 * prep.n
+    ibase = -std_complex_structure(prep.n)
     zero = ExactMatrix.zeros(n2, n2)
-    ginv = g_exact.inverse()
     i_frame = ExactMatrix.blocks([[ibase, zero], [zero, ibase.T]])
-    j_frame = ExactMatrix.blocks([[zero, -ginv], [g_exact, zero]])
-    s_inv = s_exact.inverse()
-    imat = s_exact @ i_frame @ s_inv
-    jmat = s_exact @ j_frame @ s_inv
-    return hodge.QuaternionicStructure(imat, jmat), err
+    j_frame = ExactMatrix.blocks([[zero, -g_exact.inverse()], [g_exact, zero]])
+    return hodge.QuaternionicStructure(i_frame, j_frame), err
 
 
 def twistor_normal_bundle_at(prep: Prepotential, pt: CotangentPoint,

@@ -3,8 +3,9 @@ induce on the line and on P^1: section counts, splitting type, degree,
 slope, semistability and the brute-force purity oracle.
 
 Sections are never materialized as polynomial matrices; everything is
-computed from degreewise intersection dimensions, which is exact and
-validated against the pure case where the answer is a line-bundle power.
+computed from intersection dimensions dim(F^p /\\ Fbar^q), which is exact.
+The splitting type reads its degrees off that table; the section counts
+h0 are the independent reference it is tested against.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ __all__ = [
 
 
 class InconsistentProfileError(RuntimeError):
-    """No degree multiset reproduces the section-count profile (this
-    signals an arithmetic bug; genuine filtration pairs always fit)."""
+    """The table of intersection dimensions gives no degree multiset of
+    the right rank and degree (this signals an arithmetic bug; genuine
+    filtration pairs always fit)."""
 
 
 @dataclass(frozen=True)
@@ -117,26 +119,26 @@ def filtration_from_module(ambient_dim: int, generators) -> Filtration:
     return Filtration.from_proper_steps(ambient_dim, proper)
 
 
+def _meet_dim(a: Subspace, b: Subspace) -> int:
+    """dim(a /\\ b), intersecting only when neither side is 0 or V."""
+    if a.is_zero() or b.is_zero():
+        return 0
+    if a.is_full():
+        return b.dim
+    if b.is_full():
+        return a.dim
+    return (a & b).dim
+
+
 def h0(bundle: ReesBundle, m: int = 0) -> int:
     """Global sections of the twist by m at infinity:
     h^0 = sum_d dim(F^{-d} /\\ Fbar^{d-m})."""
     mm = m + bundle.twist
     f, fbar = bundle.f, bundle.fbar
-    lo = 1 - f.length
-    hi = mm + fbar.length - 1
-    total = 0
-    for d in range(lo, hi + 1):
-        a = f.step(-d)
-        b = fbar.step(d - mm)
-        if a.is_zero() or b.is_zero():
-            continue
-        if a.is_full():
-            total += b.dim
-        elif b.is_full():
-            total += a.dim
-        else:
-            total += (a & b).dim
-    return total
+    return sum(
+        _meet_dim(f.step(-d), fbar.step(d - mm))
+        for d in range(1 - f.length, mm + fbar.length)
+    )
 
 
 def bundle_degree(bundle: ReesBundle) -> int:
@@ -150,42 +152,26 @@ def bundle_degree(bundle: ReesBundle) -> int:
 
 
 def splitting_type(bundle: ReesBundle) -> SplittingType:
-    """Recover the unique multiset {a_i} with
-    h0(m) = sum_i max(a_i + m + 1, 0) from the section-count profile.
+    """Read the degrees off the table d(p, q) = dim(F^p /\\ Fbar^q).
 
-    The profile increment at m counts the degrees >= -m, so consecutive
-    increments isolate the multiplicity of each degree; the scan starts
-    where h0 vanishes and stops once the increment saturates at the rank
-    twice in a row."""
-    rank = bundle.rank
-    start = -(bundle.f.length + bundle.fbar.length) - 1 - abs(bundle.twist)
-    prev = h0(bundle, start)
-    if prev != 0:
-        raise InconsistentProfileError("sections persist below the degree window")
-    counts = {}
-    m = start
-    prev_inc = 0
-    saturated = 0
-    while saturated < 2:
-        m += 1
-        cur = h0(bundle, m)
-        inc = cur - prev
-        if inc < prev_inc or inc > rank:
-            raise InconsistentProfileError("section profile is not convex")
-        mult = inc - prev_inc
-        if mult:
-            counts[-m] = mult
-        if inc == rank:
-            saturated += 1
-        prev, prev_inc = cur, inc
-        if m > start + 4 * (bundle.f.length + bundle.fbar.length + abs(bundle.twist) + 4):
-            raise InconsistentProfileError("section profile failed to saturate")
+    Two filtrations always have a common adapted basis, and a basis vector
+    with exact levels (p, q) spans a summand O(p + q + twist).  So the
+    multiplicity of that degree is the second difference
+    d(p, q) - d(p+1, q) - d(p, q+1) + d(p+1, q+1).  h0 is the reference:
+    h0(m) = sum_i max(a_i + m + 1, 0) over the degrees a_i."""
+    f, fbar = bundle.f, bundle.fbar
+    lf, lb = f.length, fbar.length
+    d = [[_meet_dim(f.step(p), fbar.step(q)) for q in range(lb + 1)] for p in range(lf + 1)]
     degrees = []
-    for a, mult in sorted(counts.items(), reverse=True):
-        degrees.extend([a] * mult)
-    if len(degrees) != rank:
+    for p in range(lf):
+        for q in range(lb):
+            mult = d[p][q] - d[p + 1][q] - d[p][q + 1] + d[p + 1][q + 1]
+            if mult < 0:
+                raise InconsistentProfileError(f"negative multiplicity at {(p, q)}")
+            degrees += [p + q + bundle.twist] * mult
+    if len(degrees) != bundle.rank:
         raise InconsistentProfileError("degree multiset does not match the rank")
-    st = SplittingType(tuple(degrees))
+    st = SplittingType(tuple(sorted(degrees, reverse=True)))
     if st.degree != bundle_degree(bundle):
         raise InconsistentProfileError("degree cross-check failed")
     return st

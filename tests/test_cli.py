@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # stdout of `rees split|purity` on the fixture filtrations; exact arithmetic
 # makes these bytes the same on every platform
 REES_REPORTS = json.loads((FIXTURES / "rees_reports.json").read_text())
+# stdout of `twistor normal-bundle --points 8 --seed 7` per entry
+TWISTOR_REPORTS = json.loads((FIXTURES / "twistor_reports.json").read_text())
 
 
 def write(tmp_path, name, obj):
@@ -150,7 +153,6 @@ class TestVerify:
         assert captured.err.startswith("error: shrink step or move point")
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_residual_prints_null_and_fails(self, capsys):
         """swlog's sample box scales with lambda, and near 1e-300 the
         connection terms overflow: the residuals that read NaN print as
@@ -161,6 +163,23 @@ class TestVerify:
         assert rep["samples"][0]["residuals"]["dbarA"] is None
         assert rep["summary"]["max_residuals"]["dbarA"] is None
         assert rep["summary"]["pass"] is False
+
+    @pytest.mark.parametrize(
+        "sweep,code",
+        [(["verify"], 1), (["hk", "check"], 1), (["hk", "nijenhuis"], 1),
+         (["hk", "correspondence"], 1), (["twistor", "normal-bundle"], 0)],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+    )
+    def test_overflowed_frame_is_silent(self, sweep, code, capsys):
+        """Near lambda = 1e-300 the frame overflows: the float sweeps fail
+        the point on NaN residuals without a numpy warning, and the exact
+        twistor path, which reads only the metric, still passes."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run([*sweep, "--entry", "swlog(lambda=1e-300)", "--points", "1"]) == code
+        captured = capsys.readouterr()
+        assert strict_loads(captured.out)["summary"]["pass"] is (code == 0)
+        assert captured.err == ""
 
     def test_determinism_byte_identical(self, tmp_path):
         out1 = tmp_path / "a.json"
@@ -248,6 +267,30 @@ class TestRees:
         assert captured.out == ""
         assert captured.err == "error: inconsistent filtration: zero denominator in '1/0'\n"
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"dim": 2.5, "steps": [[["1", "0"], ["0", "1"]]]}',
+             "filtration JSON needs an integer 'dim'"),
+            ('{"dim": true, "steps": [[["1"]]]}', "filtration JSON needs an integer 'dim'"),
+            ('{"dim": 1e400, "steps": [[["1"]]]}', "filtration JSON needs an integer 'dim'"),
+            ('{"dim": "2", "steps": [[["1", "0"], ["0", "1"]]]}',
+             "filtration JSON needs an integer 'dim'"),
+            ('{"dim": 2, "steps": [[["1", "0"], ["0", "1"]]], "conjugate": true,'
+             ' "real_structure": 5}', "'real_structure' must be a list of rows"),
+            ('{"dim": 2, "steps": [[["1", "0"], ["0", "1"]]], "conjugate": true,'
+             ' "real_structure": ["1", "0"]}', "'real_structure' must be a list of rows"),
+        ],
+        ids=["float-dim", "bool-dim", "huge-dim", "string-dim", "scalar-real-structure",
+             "flat-real-structure"],
+    )
+    def test_bad_input_is_one_line_data_error(self, tmp_path, capsys, text, message):
+        path = write(tmp_path, "bad.json", text)
+        assert run(["rees", "split", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: inconsistent filtration: {message}\n"
+
 
 class TestHyperkahler:
     def test_check_quadratic(self, tmp_path):
@@ -270,8 +313,6 @@ class TestHyperkahler:
         rep = json.loads(out.read_text())
         assert rep["summary"]["max_residuals"]["correspondence"] < 1e-9
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_correspondence_singular_identification_prints_null(self, capsys):
         """Near lambda = 1e-300 the frame overflows and the identification
         matrix is singular: the residual is null and the point fails."""
@@ -309,6 +350,12 @@ class TestHyperkahler:
         assert captured.err.startswith("error: shrink step or move point")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("entry", sorted(TWISTOR_REPORTS))
+    def test_twistor_report_bytes(self, entry, capsys):
+        argv = ["twistor", "normal-bundle", "--entry", entry, "--points", "8", "--seed", "7"]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == TWISTOR_REPORTS[entry]
 
     def test_twistor_normal_bundle(self, tmp_path):
         out = tmp_path / "t.json"

@@ -19,6 +19,7 @@ from specialk.hodge import (
     Polarization,
     QuaternionicStructure,
     RealStructure,
+    _chart_hodge_structure,
     check_polarization,
     filtration_to_hodge,
     hodge_from_quaternionic,
@@ -310,6 +311,24 @@ class TestHodgeFromQuaternionic:
             inv = chart.chart.inverse()
             pulled = inv @ qs2.jmat @ chart.chart
             assert pulled == qs.jmat
+
+    def test_model_structure_built_once_per_k(self):
+        """The chart's model structure depends on k = n4/4 only: V^{1,0}
+        and V^{0,1} are the first and last k coordinates, swapped by the
+        real structure.  One build serves every pair of that size."""
+        _chart_hodge_structure.cache_clear()
+        rng = XorShift(131)
+        charts = [hodge_from_quaternionic(quaternionic_pair(rng, 8)) for _ in range(3)]
+        assert _chart_hodge_structure.cache_info().misses == 1
+        assert all(c.hodge is charts[0].hodge for c in charts)
+        assert all(c.recovered_structure() == c.source for c in charts)
+        h = charts[0].hodge
+        ident = ExactMatrix.identity(4)
+        assert h.component(1, 0) == Subspace.row_space(ident[:2, :])
+        assert h.component(0, 1) == Subspace.row_space(ident[2:, :])
+        assert h.real_structure.s == ExactMatrix(
+            [[int(j == (i + 2) % 4) for j in range(4)] for i in range(4)]
+        )
 
     def test_invalid_relations_rejected(self):
         ident = ExactMatrix.identity(4)

@@ -6,7 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from specialk import geometry, hyperkahler as hk
+from specialk import geometry, hodge, hyperkahler as hk, rees
+from specialk.exact import rationalize_matrix
+from specialk.hodge import QuaternionicStructure
 from specialk.prepotentials import Coupled, Cubic, Quadratic, SWLog
 
 ENTRIES = [Quadratic(), Cubic(), SWLog(), Coupled()]
@@ -14,6 +16,14 @@ ENTRIES = [Quadratic(), Cubic(), SWLog(), Coupled()]
 
 def pt_for(prep, seed=1, alpha_scale=1.0):
     return hk.sample_cotangent_points(prep, 1, seed, alpha_scale=alpha_scale)[0]
+
+
+def rees_splitting(qs):
+    """Splitting type of the Rees bundle of the weight-1 structure of a
+    quaternionic pair."""
+    chart = hodge.hodge_from_quaternionic(qs)
+    filt = hodge.hodge_to_filtration(chart.hodge)
+    return rees.splitting_type(rees.ReesBundle(filt, filt.conjugate(chart.hodge.real_structure)))
 
 
 class TestTangentSplit:
@@ -191,6 +201,23 @@ class TestNormalBundle:
         pt = pt_for(prep, seed=21)
         with pytest.raises(hk.RationalizationError):
             hk.twistor_normal_bundle_at(prep, pt, max_denominator=3, max_error=1e-12)
+
+    @pytest.mark.parametrize("prep", [Cubic(), SWLog(), Coupled()], ids=lambda p: p.name)
+    def test_frame_pair_matches_coordinate_pair(self, prep):
+        """On the criterion-8 points the exact frame-basis pair and the
+        coordinate pair S I S^-1, S J S^-1 (S rationalized as well) have
+        the same Rees splitting type."""
+        for pt in hk.sample_cotangent_points(prep, 16, seed=8):
+            frame_pair, _ = hk._exact_quaternionic_at(prep, pt, 10**12, 1e-9)
+            s = rationalize_matrix(hk._frame_blocks(prep, pt)[1].astype(complex))[0]
+            s_inv = s.inverse()
+            coord_pair = QuaternionicStructure(
+                s @ frame_pair.imat @ s_inv, s @ frame_pair.jmat @ s_inv
+            )
+            assert coord_pair.jmat != frame_pair.jmat
+            frame, coord = (rees_splitting(q) for q in (frame_pair, coord_pair))
+            assert frame == coord == rees.SplittingType((1,) * (2 * prep.n))
+            assert hk.twistor_normal_bundle_at(prep, pt) == frame
 
 
 class TestCorrespondence:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies
 
 from randgen import nested_filtration, properties, weight1_structure
+from specialk import rees
 from specialk.exact import ExactComplex, ExactMatrix, Subspace
 from specialk.hodge import Filtration, RealStructure, hodge_to_filtration
 from specialk.rees import (
@@ -178,6 +179,27 @@ class TestSplitting:
         plain = splitting_type(ReesBundle(f, fbar))
         twisted = splitting_type(ReesBundle(f, fbar, twist=2))
         assert twisted.degrees == tuple(a + 2 for a in plain.degrees)
+
+    def test_reads_the_table_not_the_profile(self, monkeypatch):
+        """splitting_type never counts sections; h0 is only the reference."""
+
+        def no_h0(*args, **kwargs):
+            raise AssertionError("splitting_type called h0")
+
+        monkeypatch.setattr(rees, "h0", no_h0)
+        f = Filtration.from_proper_steps(2, [line(2, ["1", "0"])])
+        assert splitting_type(ReesBundle(f, f)).degrees == (2, 0)
+        assert splitting_type(pure_rank_one(2, 1)).degrees == (3,)
+
+    def test_negative_multiplicity_is_inconsistent(self, monkeypatch):
+        """A table no filtration pair has (d(1, 1) > d(0, 1)) raises
+        instead of yielding degrees."""
+        f = Filtration.from_proper_steps(2, [line(2, ["1", "i"])])
+        fbar = f.conjugate(RealStructure.conjugation(2))
+        table = {(2, 2): 2, (2, 1): 1, (1, 2): 1, (1, 1): 2}  # by (dim a, dim b)
+        monkeypatch.setattr(rees, "_meet_dim", lambda a, b: table.get((a.dim, b.dim), 0))
+        with pytest.raises(InconsistentProfileError, match="negative multiplicity"):
+            splitting_type(ReesBundle(f, fbar))
 
     def test_splitting_type_validates(self):
         with pytest.raises(ValueError):
