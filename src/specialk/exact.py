@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import lcm, prod
+from math import hypot, lcm, prod
 
 from . import _kernel
 
@@ -205,11 +205,14 @@ def _literal_fraction(token, text):
 
 def _rationalize(z, max_denominator):
     """(re, im, absolute error) of the nearest Gaussian rational to z with
-    denominators at most max_denominator."""
+    denominators at most max_denominator.  The error is taken between the
+    rationals and the exact binary value of z before any rounding, so it
+    stays visible below float resolution."""
     z = complex(z)
-    re = Fraction(z.real).limit_denominator(max_denominator)
-    im = Fraction(z.imag).limit_denominator(max_denominator)
-    return re, im, abs(complex(re, im) - z)
+    x, y = Fraction(z.real), Fraction(z.imag)
+    re = x.limit_denominator(max_denominator)
+    im = y.limit_denominator(max_denominator)
+    return re, im, hypot(float(re - x), float(im - y))
 
 
 _I = ExactComplex(0, 1)

@@ -47,6 +47,7 @@ __all__ = [
     "flat_omega_residual",
     "flat_structure_certificate",
     "flat_connection_at",
+    "flat_connection_jet",
     "levi_civita_at",
     "lc_holomorphic",
     "higgs_at",
@@ -227,15 +228,21 @@ def flat_chart_at(prep: Prepotential, z) -> FlatChart:
     jac[:n, :n] = np.eye(n)
     jac[n:, :n] = t
     jac[n:, n:] = -g
-    c = np.asarray(prep.third(z), dtype=complex)
-    second = np.zeros((2 * n, 2 * n, 2 * n))
-    for r in range(n):
-        cr = c[r]
-        second[n + r, :n, :n] = cr.real
-        second[n + r, :n, n:] = -cr.imag
-        second[n + r, n:, :n] = -cr.imag
-        second[n + r, n:, n:] = -cr.real
+    second = _flat_second(np.asarray(prep.third(z), dtype=complex))
     return FlatChart(x=z.real, y=w.real, p=z.imag, q=w.imag, jacobian=jac, second=second)
+
+
+def _flat_second(c):
+    """second[..., a, i, j] = d^2 xi^a / du^i du^j from third derivatives
+    c[..., r, i, j]; only the rows of y = Re w are nonzero.  Linear over
+    the reals in c, so it also maps derivatives of c to those of second."""
+    n = c.shape[-1]
+    second = np.zeros(c.shape[:-3] + (2 * n, 2 * n, 2 * n))
+    second[..., n:, :n, :n] = c.real
+    second[..., n:, :n, n:] = -c.imag
+    second[..., n:, n:, :n] = -c.imag
+    second[..., n:, n:, n:] = -c.real
+    return second
 
 
 def flat_omega_residual(prep: Prepotential, z) -> float:
@@ -271,6 +278,23 @@ def flat_connection_at(prep: Prepotential, z):
     chart = flat_chart_at(prep, z)
     jinv = np.linalg.inv(chart.jacobian)
     return np.einsum("ka,aij->kij", jinv, chart.second)
+
+
+def flat_connection_jet(prep: Prepotential, z):
+    """(Gamma, dGamma) of the flat connection from one flat-chart build,
+    with dGamma[d, k, i, j] = d_d Gamma^k_{ij} along the real-chart
+    direction d.
+
+    Gamma = Jac^{-1} second, so dGamma = Jac^{-1} (d second - dJac Gamma);
+    dJac[d][a, b] = second[a, d, b] because Jac = dxi/du, and d second
+    comes from the fourth derivatives with d/dy = i d/dx."""
+    chart = flat_chart_at(prep, z)
+    jinv = np.linalg.inv(chart.jacobian)
+    gamma = np.einsum("ka,aij->kij", jinv, chart.second)
+    q = np.asarray(prep.fourth(z), dtype=complex)
+    dsecond = _flat_second(np.concatenate([q, 1j * q]))
+    djac_gamma = np.einsum("adb,bij->daij", chart.second, gamma)
+    return gamma, np.einsum("ka,daij->dkij", jinv, dsecond - djac_gamma)
 
 
 def levi_civita_at(prep: Prepotential, z):

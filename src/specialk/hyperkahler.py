@@ -12,6 +12,12 @@ Frame conventions at a point (z, alpha) of T*M:
   J = [[0, -g^{-1}], [g, 0]] (the map (v, wbar) -> (-w, vbar) through the
   metric identification of the fiber with the conjugate tangent space),
   K = I J, and the metric gTM = blockdiag(g, g^{-1}).
+
+The Nijenhuis and closedness suites differentiate these fields by the
+chain rule from one frame build per point: the frame matrix moves with
+Gamma_flat and its u-derivative (from the catalog's fourth derivatives),
+the frame blocks with g and dg, so no finite-difference stencil is taken
+and the residuals sit at rounding level.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import fd, geometry, hodge, rees
+from . import geometry, hodge, rees
 from .exact import ExactMatrix, rationalize_matrix, std_complex_structure
 from .prepotentials import Prepotential
 
@@ -161,30 +167,50 @@ def twistor_structure_at(prep: Prepotential, pt: CotangentPoint, zeta):
     return a * fr.imat + b * fr.jmat + c * fr.kmat
 
 
-def _coordinate_derivatives(field, pt: CotangentPoint, h: float):
-    """Fourth-order stencil derivatives of a stacked field of the cotangent
-    coordinates, as [k, d, ...] = d_d field[k]."""
-    try:
-        jac = fd.jacobian4(field, pt.coords, h=h)
-    except fd.FDEvaluationError as exc:
-        raise geometry.StencilError(f"shrink step or move point: {exc}") from exc
-    return np.ascontiguousarray(np.moveaxis(jac, -1, 1))
+def _frame_jet(prep: Prepotential, pt: CotangentPoint):
+    """The frame at the point and the derivative stacks of I, J, K and gTM
+    over the 4n cotangent coordinates (u, alpha), each [d, a, b] = d_d M_ab.
+
+    Product rule on I = S I_f S^-1, J = S J_f S^-1, K = I J and
+    gTM = S^-T G_f S^-1, with dS = -d(S^-1) = [[0, 0], [dW, 0]]:
+    dW = dGamma.alpha along u and Gamma^c along alpha_c.  The only block
+    of dS is lower left, so dS S^-1 = S dS = dS and the conjugations leave
+    commutators with dS."""
+    fr = tangent_split_at(prep, pt)
+    gamma, dgamma = geometry.flat_connection_jet(prep, pt.z)
+    dg = geometry._metric_derivatives(prep, pt.z)[2]
+    n2 = 2 * prep.n
+    n4 = 2 * n2
+    ds = np.zeros((n4, n4, n4))
+    ds[:n2, n2:, :n2] = np.einsum("dcab,c->dab", dgamma, pt.alpha)
+    ds[n2:, n2:, :n2] = gamma
+    # frame parts: dJ_f = [[0, g^-1 dg g^-1], [dg, 0]], dG_f = blockdiag(dg, -g^-1 dg g^-1)
+    ginv = np.linalg.inv(fr.g_real)
+    dginv = ginv @ dg @ ginv
+    dj_f = np.zeros((n4, n4, n4))
+    dj_f[:n2, :n2, n2:] = dginv
+    dj_f[:n2, n2:, :n2] = dg
+    dgtm_f = np.zeros((n4, n4, n4))
+    dgtm_f[:n2, :n2, :n2] = dg
+    dgtm_f[:n2, n2:, n2:] = -dginv
+    d_i = ds @ fr.imat - fr.imat @ ds
+    d_j = ds @ fr.jmat - fr.jmat @ ds + fr.s @ dj_f @ fr.s_inv
+    d_k = d_i @ fr.jmat + fr.imat @ d_j
+    ds_t = ds.transpose(0, 2, 1)
+    d_gtm = fr.s_inv.T @ dgtm_f @ fr.s_inv - ds_t @ fr.gtm - fr.gtm @ ds
+    return fr, d_i, d_j, d_k, d_gtm
 
 
 def structure_derivative_stacks(prep: Prepotential, pt: CotangentPoint, h: float = 1e-4):
     """(I, J, K) at the point and their derivative stacks over all 4n
-    cotangent coordinates.
+    cotangent coordinates, [d, a, b] = d_d S_ab.
 
-    Fourth-order stencils: near box corners the frame fields have third
-    derivatives of order 1e4, so a second-order stencil at h = 1e-4 would
-    leave truncation above the 1e-4 integrability tolerance."""
-
-    def structures_at(t):
-        fr = tangent_split_at(prep, CotangentPoint.from_coords(t))
-        return np.stack([fr.imat, fr.jmat, fr.kmat])
-
-    d_i, d_j, d_k = _coordinate_derivatives(structures_at, pt, h)
-    return tangent_split_at(prep, pt), (d_i, d_j, d_k)
+    The stacks are exact chain-rule derivatives of one frame build (the
+    flat connection's u-derivative comes from the catalog's fourth
+    derivatives), so they carry rounding only.  h is unused; it stays in
+    the signature for the callers that pass it."""
+    fr, d_i, d_j, d_k, _ = _frame_jet(prep, pt)
+    return fr, (d_i, d_j, d_k)
 
 
 def _nijenhuis_from(s, ds):
@@ -200,7 +226,8 @@ def _nijenhuis_from(s, ds):
 def nijenhuis_at(prep: Prepotential, pt: CotangentPoint, structure="J",
                  h: float = 1e-4, _stacks=None) -> float:
     """Integrability residual for I, J, K or a twistor-sphere structure
-    (pass a complex zeta for I_zeta)."""
+    (pass a complex zeta for I_zeta), from the analytic stacks of
+    structure_derivative_stacks; h is unused."""
     fr, (d_i, d_j, d_k) = _stacks if _stacks is not None else \
         structure_derivative_stacks(prep, pt, h)
     if isinstance(structure, str):
@@ -216,17 +243,13 @@ def nijenhuis_at(prep: Prepotential, pt: CotangentPoint, structure="J",
 
 
 def kahler_form_closedness(prep: Prepotential, pt: CotangentPoint, h: float = 1e-4):
-    """Sup-norm of d(omega_S) for S in {I, J, K}, omega_S = gTM(S., .)."""
-
-    def forms_at(t):
-        fr = tangent_split_at(prep, CotangentPoint.from_coords(t))
-        return np.stack(
-            [fr.imat.T @ fr.gtm, fr.jmat.T @ fr.gtm, fr.kmat.T @ fr.gtm]
-        )
-
+    """Sup-norm of d(omega_S) for S in {I, J, K}, omega_S = gTM(S., .),
+    from the analytic stacks of one frame jet; h is unused."""
+    fr, d_i, d_j, d_k, d_gtm = _frame_jet(prep, pt)
     out = {}
-    for name, dom in zip(("I", "J", "K"), _coordinate_derivatives(forms_at, pt, h)):
+    for name, s, ds in (("I", fr.imat, d_i), ("J", fr.jmat, d_j), ("K", fr.kmat, d_k)):
         # dom[a, b, c] = d_a omega_{bc}
+        dom = ds.transpose(0, 2, 1) @ fr.gtm + s.T @ d_gtm
         dw = dom - dom.transpose(1, 0, 2) + dom.transpose(1, 2, 0)
         out[name] = float(np.max(np.abs(dw)))
     return out

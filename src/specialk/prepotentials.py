@@ -1,7 +1,8 @@
 """Catalog of holomorphic prepotentials with analytic derivatives.
 
 Each entry supplies value, gradient w, Hessian tau and the totally
-symmetric third-derivative tensor on an explicit domain of validity.
+symmetric third- and fourth-derivative tensors on an explicit domain of
+validity.
 Derivatives are coded per entry rather than derived automatically so that
 the finite-difference consistency tests actually test something.
 """
@@ -56,6 +57,9 @@ class Prepotential:
         raise NotImplementedError
 
     def third(self, z):
+        raise NotImplementedError
+
+    def fourth(self, z):
         raise NotImplementedError
 
     def in_domain(self, z) -> bool:
@@ -114,6 +118,10 @@ class Quadratic(Prepotential):
         self.as_point(z)
         return np.zeros((self.n, self.n, self.n), dtype=complex)
 
+    def fourth(self, z):
+        self.as_point(z)
+        return np.zeros((self.n,) * 4, dtype=complex)
+
     def in_domain(self, z) -> bool:
         self.as_point(z)
         return True
@@ -138,6 +146,10 @@ class Cubic(Prepotential):
     def third(self, z):
         self.as_point(z)
         return np.full((1, 1, 1), 6.0 + 0.0j)
+
+    def fourth(self, z):
+        self.as_point(z)
+        return np.zeros((1, 1, 1, 1), dtype=complex)
 
     def in_domain(self, z) -> bool:
         return self.as_point(z)[0].imag > 0.0
@@ -179,6 +191,10 @@ class SWLog(Prepotential):
         w = self.as_point(z)[0]
         return np.array([[[(1j / math.pi) * 2.0 / w]]])
 
+    def fourth(self, z):
+        w = self.as_point(z)[0]
+        return np.array([[[[(-2j / math.pi) / (w * w)]]]])
+
     def in_domain(self, z) -> bool:
         w = self.as_point(z)[0] / self.lam
         if w.imag == 0.0 and w.real <= 0.0:
@@ -211,6 +227,10 @@ class Coupled(Prepotential):
         c = np.zeros((2, 2, 2), dtype=complex)
         c[0, 1, 1] = c[1, 0, 1] = c[1, 1, 0] = 2.0
         return c
+
+    def fourth(self, z):
+        self.as_point(z)
+        return np.zeros((2, 2, 2, 2), dtype=complex)
 
     def in_domain(self, z) -> bool:
         g = self.hess(z).imag

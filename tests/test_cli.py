@@ -336,20 +336,25 @@ class TestHyperkahler:
         assert {"nijenhuis_I", "nijenhuis_J", "nijenhuis_K"} <= names
         assert sum(1 for k in names if k.startswith("nijenhuis_zeta")) == 8
 
-    def test_nijenhuis_stencil_failure_exit_code(self, monkeypatch, capsys):
-        """The 4th-order stencil at --step 1e-4 reaches Im z - 2e-4 < 0."""
+    def test_nijenhuis_near_boundary_gets_verdict(self, monkeypatch, capsys):
+        """A point 1e-4 from cubic's boundary, inside any stencil's reach at
+        --step 1e-4, gets a verdict: the derivative stacks are analytic and
+        evaluate nothing off the point."""
         from specialk import cli, hyperkahler
 
         pt = hyperkahler.CotangentPoint(z=np.array([0.3 + 1e-4j]), alpha=np.zeros(2))
         monkeypatch.setattr(
             cli.hyperkahler, "sample_cotangent_points", lambda *a, **k: [pt]
         )
-        assert run(["hk", "nijenhuis", "--entry", "cubic", "--points", "1"]) == 3
+        assert run(["hk", "nijenhuis", "--entry", "cubic", "--points", "1"]) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: shrink step or move point")
-        assert captured.err.count("\n") == 1
-        assert "Traceback" not in captured.err
+        assert captured.err == ""
+        rep = strict_loads(captured.out)
+        assert rep["summary"]["pass"] is True
+        # g = 6e-4 there, so J has entries 1e3 and its stack 1e7: the zeta
+        # structures, which mix I, J and K, round at about 1e-6
+        worst = rep["summary"]["max_residuals"]
+        assert max(worst[f"nijenhuis_{s}"] for s in "IJK") < 1e-9
 
     @pytest.mark.parametrize("entry", sorted(TWISTOR_REPORTS))
     def test_twistor_report_bytes(self, entry, capsys):

@@ -74,8 +74,18 @@ class TestExactComplex:
         assert val == ExactComplex(Fraction(1, 2), Fraction(1, 4))
         assert err == 0.0
         val, err = ExactComplex.from_complex(2.0 / 3.0, max_denominator=10**6)
-        assert abs(val.to_complex() - 2.0 / 3.0) == err
+        assert val.im == 0
+        assert err == abs(float(val.re - Fraction(2.0 / 3.0)))
         assert err < 1e-6
+
+    def test_rationalization_error_below_float_resolution(self):
+        """At 10^12 denominators the rational rounds back to the same
+        double, so only the exact difference shows the error."""
+        x = 0.7316151209613437
+        val, err = ExactComplex.from_complex(x, max_denominator=10**12)
+        assert val.to_complex() == x
+        assert err == abs(float(val.re - Fraction(x)))
+        assert 1e-26 < err < 1e-25
 
 
 class TestExactMatrix:

@@ -6,10 +6,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from specialk import geometry, hodge, hyperkahler as hk, rees
+from specialk import fd, geometry, hodge, hyperkahler as hk, rees
 from specialk.exact import rationalize_matrix
 from specialk.hodge import QuaternionicStructure
 from specialk.prepotentials import Coupled, Cubic, Quadratic, SWLog
+from specialk.utils import XorShift
 
 ENTRIES = [Quadratic(), Cubic(), SWLog(), Coupled()]
 
@@ -140,6 +141,33 @@ class TestNijenhuis:
     def test_rejects_unknown_structure_name(self):
         with pytest.raises(ValueError):
             hk.nijenhuis_at(Quadratic(), pt_for(Quadratic()), "Q")
+
+
+class TestAnalyticStacks:
+    """The chain-rule stacks against the fourth-order stencil as the
+    reference, on criterion 4's points."""
+
+    @pytest.mark.parametrize(
+        "prep", [Cubic(), SWLog(), Coupled(), Quadratic(n=2)], ids=lambda p: f"{p.name}{p.n}"
+    )
+    def test_match_stencil_and_residuals_at_rounding(self, prep):
+        rng = XorShift(44)
+        zetas = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(8)]
+
+        def frame_fields(t):
+            fr = hk.tangent_split_at(prep, hk.CotangentPoint.from_coords(t))
+            return np.stack([fr.imat, fr.jmat, fr.kmat, fr.gtm])
+
+        for pt in hk.sample_cotangent_points(prep, 64, seed=4):
+            _, *stacks = hk._frame_jet(prep, pt)
+            analytic = np.stack(stacks)
+            stencil = np.moveaxis(fd.jacobian4(frame_fields, pt.coords, h=1e-4), -1, 1)
+            scale = max(1.0, float(np.max(np.abs(stencil))))
+            assert np.max(np.abs(analytic - stencil)) <= 1e-8 * scale
+            shared = hk.structure_derivative_stacks(prep, pt)
+            for s in ("I", "J", "K", *zetas):
+                assert hk.nijenhuis_at(prep, pt, s, _stacks=shared) <= 1e-10
+            assert max(hk.kahler_form_closedness(prep, pt).values()) <= 1e-10
 
 
 class TestTwistorSphere:

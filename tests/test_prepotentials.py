@@ -39,31 +39,40 @@ def test_catalog_names():
 
 @pytest.mark.parametrize("prep", ENTRIES, ids=lambda p: p.name)
 def test_derivative_consistency(prep):
-    """hess must match FD(grad) within 1e-6 and third FD(hess) within
-    1e-5 at 100 seeded domain points."""
+    """hess must match FD(grad) within 1e-6, third FD(hess) within 1e-5
+    and fourth FD(third) within 1e-6 at 100 seeded domain points."""
     pts = geometry.sample_points(prep, 100, seed=42)
-    worst_h = worst_t = 0.0
+    worst_h = worst_t = worst_f = 0.0
     for z in pts:
         tau = prep.hess(z)
         assert np.array_equal(tau, tau.T)
         c = prep.third(z)
+        q = prep.fourth(z)
         for d in range(prep.n):
             worst_h = max(worst_h, float(np.max(np.abs(
                 complex_fd(prep.grad, z, d) - tau[:, d]))))
             worst_t = max(worst_t, float(np.max(np.abs(
                 complex_fd(prep.hess, z, d) - c[d]))))
+            worst_f = max(worst_f, float(np.max(np.abs(
+                complex_fd(prep.third, z, d) - q[d]))))
         gq = complex_fd(lambda zz: np.array([prep.value(zz)]), z, 0)
         assert abs(gq[0] - prep.grad(z)[0]) < 1e-6
     assert worst_h < 1e-6
     assert worst_t < 1e-5
+    assert worst_f < 1e-6
 
 
 def test_third_totally_symmetric():
+    """The third and fourth derivative tensors are totally symmetric."""
     for prep in ENTRIES:
         z = geometry.sample_points(prep, 1, seed=3)[0]
         c = prep.third(z)
         for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
             assert np.array_equal(c, np.transpose(c, perm))
+        q = prep.fourth(z)
+        assert q.shape == (prep.n,) * 4
+        for perm in ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (3, 1, 2, 0)):
+            assert np.array_equal(q, np.transpose(q, perm))
 
 
 class TestTau:
