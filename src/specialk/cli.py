@@ -196,7 +196,7 @@ def _hk_nijenhuis(prep, pt, args):
         key: hyperkahler.nijenhuis_at(prep, pt, s, h=args.step, _stacks=stacks)
         for key, s in structures.items()
     }
-    closed = hyperkahler.kahler_form_closedness(prep, pt, h=args.step)
+    closed = hyperkahler.kahler_form_closedness(prep, pt, _stacks=stacks)
     residuals.update((f"domega_{name}", v) for name, v in closed.items())
     return residuals
 

@@ -14,9 +14,11 @@ Conventions (fixed once, everything else is checked against them):
 * curvature R[c, a, b, d] = coefficient of R(e_a, e_b) e_d along e_c.
 
 Connections are assembled analytically from the catalog's third
-derivatives; finite differences enter only one level deep (curvature and
-covariant exterior derivatives), so residuals sit far below the 1e-5
-acceptance tolerances.
+derivatives, and their first derivatives (curvature, covariant exterior
+derivatives) by the chain rule from the fourth, so the equation suite
+takes no stencil and its residuals sit at rounding level.  Finite
+differences remain only in kahler_potential_residual, the independent
+check of the metric convention.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fd import FDEvaluationError, hessian
+from .fd import FDEvaluationError, hessian, jacobian
 from .prepotentials import DomainError, Prepotential
 from .utils import XorShift
 
@@ -49,6 +51,7 @@ __all__ = [
     "flat_connection_at",
     "flat_connection_jet",
     "levi_civita_at",
+    "levi_civita_jet",
     "lc_holomorphic",
     "higgs_at",
     "curvature_of_connection",
@@ -280,6 +283,12 @@ def flat_connection_at(prep: Prepotential, z):
     return np.einsum("ka,aij->kij", jinv, chart.second)
 
 
+def _chart_stack(c, axis=0):
+    """Holomorphic derivatives along axis (length n) extended to the 2n
+    real chart directions (x, y): d/dy = i d/dx."""
+    return np.concatenate([c, 1j * c], axis=axis)
+
+
 def flat_connection_jet(prep: Prepotential, z):
     """(Gamma, dGamma) of the flat connection from one flat-chart build,
     with dGamma[d, k, i, j] = d_d Gamma^k_{ij} along the real-chart
@@ -292,22 +301,53 @@ def flat_connection_jet(prep: Prepotential, z):
     jinv = np.linalg.inv(chart.jacobian)
     gamma = np.einsum("ka,aij->kij", jinv, chart.second)
     q = np.asarray(prep.fourth(z), dtype=complex)
-    dsecond = _flat_second(np.concatenate([q, 1j * q]))
+    dsecond = _flat_second(_chart_stack(q))
     djac_gamma = np.einsum("adb,bij->daij", chart.second, gamma)
     return gamma, np.einsum("ka,daij->dkij", jinv, dsecond - djac_gamma)
+
+
+def _lowered_christoffel(dg):
+    """s[..., l, i, j] = (d_i g_lj + d_j g_li - d_l g_ij) / 2 from a metric
+    stack dg[..., a, b, c] = d_a g_bc; leading axes are carried along."""
+    t = dg.swapaxes(-3, -2)
+    return 0.5 * (t + t.swapaxes(-1, -2) - dg)
+
+
+def _raise_first(ginv, s):
+    """g^{kl} s[..., l, i, j]: ginv applied to the first of the last three
+    slots, as one matrix product."""
+    m = s.shape[-1]
+    return (ginv @ s.reshape(s.shape[:-2] + (m * m,))).reshape(s.shape)
 
 
 def levi_civita_at(prep: Prepotential, z):
     """Levi-Civita Christoffels of g in the real chart (analytic)."""
     md = metric_at(prep, z)
     _, _, dg_real, _ = _metric_derivatives(prep, z)
+    return _raise_first(np.linalg.inv(md.g_real), _lowered_christoffel(dg_real))
+
+
+def levi_civita_jet(prep: Prepotential, z):
+    """(Gamma, dGamma) of the Levi-Civita connection at one point, with
+    dGamma[d, k, i, j] = d_d Gamma^k_{ij} along the real-chart direction d.
+
+    Gamma = g^{-1} s with s linear in dg, so d(g^{-1}) = -g^{-1} dg g^{-1}
+    gives dGamma = g^{-1} (ds - dg Gamma); ds is s of the second
+    derivatives of g = blockdiag(Im tau, Im tau), which are Im of the
+    fourth derivatives of F with d/dy = i d/dx in both slots."""
+    md = metric_at(prep, z)
+    _, _, dg, _ = _metric_derivatives(prep, z)
     ginv = np.linalg.inv(md.g_real)
-    # Gamma^k_ij = (1/2) g^{kl} (d_i g_{lj} + d_j g_{li} - d_l g_{ij})
-    return 0.5 * (
-        np.einsum("kl,ilj->kij", ginv, dg_real)
-        + np.einsum("kl,jli->kij", ginv, dg_real)
-        - np.einsum("kl,lij->kij", ginv, dg_real)
-    )
+    gamma = _raise_first(ginv, _lowered_christoffel(dg))
+    n = prep.n
+    n2 = 2 * n
+    q = np.asarray(prep.fourth(z), dtype=complex)
+    ddg_blk = _chart_stack(_chart_stack(q), axis=1).imag
+    ddg = np.zeros((n2, n2, n2, n2))
+    ddg[..., :n, :n] = ddg_blk
+    ddg[..., n:, n:] = ddg_blk
+    dg_gamma = (dg @ gamma.reshape(n2, n2 * n2)).reshape(ddg.shape)
+    return gamma, _raise_first(ginv, _lowered_christoffel(ddg) - dg_gamma)
 
 
 def lc_holomorphic(prep: Prepotential, z):
@@ -330,16 +370,14 @@ def higgs_at(prep: Prepotential, z):
 
 
 def _higgs_part(ar):
-    """Type-(1,0) form part of nabla - D mapping T^{1,0} -> T^{0,1}."""
-    p10, p01 = type_projectors(ar.shape[0] // 2)
-    return np.einsum("cx,xab,ay,bz->cyz", p01, ar.astype(complex), p10, p10)
-
-
-def _connections_at(prep: Prepotential, z):
-    """(Levi-Civita, nabla - D, A) from one build of each connection."""
-    lc = levi_civita_at(prep, z)
-    ar = flat_connection_at(prep, z) - lc
-    return lc, ar, _higgs_part(ar)
+    """Type-(1,0) form part of nabla - D mapping T^{1,0} -> T^{0,1}, as
+    three two-operand products; leading axes of ar[..., c, a, b] (such as
+    a derivative direction) are carried along."""
+    p10, p01 = type_projectors(ar.shape[-1] // 2)
+    m = p10.shape[0]
+    t = (ar @ p10).swapaxes(-1, -2) @ p10                # [..., x, z, y]
+    t = p01 @ t.swapaxes(-1, -2).reshape(t.shape[:-2] + (m * m,))
+    return t.reshape(ar.shape)
 
 
 def _wedge(p, q):
@@ -353,40 +391,17 @@ def _project_form_slots(t, pa, pf):
 
 
 def _field_factory(prep: Prepotential, kind: str):
-    """Field u -> kind at the point u of the real chart, after the domain
-    check: "lc" gives the Levi-Civita Christoffels, "connection" the tuple
-    of _connections_at."""
-    builders = {
-        "lc": lambda z: levi_civita_at(prep, z),
-        "connection": lambda z: _connections_at(prep, z),
-    }
-    build = builders[kind]
+    """Field u -> Levi-Civita Christoffels at the point u of the real
+    chart, after the domain check; "lc" is the only kind."""
+    if kind != "lc":
+        raise KeyError(kind)
 
     def field(u):
         z = u_to_z(u)
         prep.require_domain(z)
-        return build(z)
+        return levi_civita_at(prep, z)
 
     return field
-
-
-def _stencil(fn, u, h):
-    """[(fn(u + h e_d), fn(u - h e_d)) for each chart direction d]."""
-    pairs = []
-    for d in range(u.size):
-        e = np.zeros_like(u)
-        e[d] = h
-        pairs.append((fn(u + e), fn(u - e)))
-    return pairs
-
-
-def _central(pairs, h):
-    """dF[d, ...] = central difference of the stencil pairs along u_d."""
-    return np.stack([(plus - minus) / (2.0 * h) for plus, minus in pairs], axis=0)
-
-
-def _fd_stack(fn, u, h):
-    return _central(_stencil(fn, u, h), h)
 
 
 def _curvature(gamma, dg):
@@ -397,8 +412,9 @@ def _curvature(gamma, dg):
 
 
 def curvature_of_connection(gamma_fn, u, h: float):
-    """R[c, a, b, d] of the connection field gamma_fn (FD one level)."""
-    return _curvature(gamma_fn(u), _fd_stack(gamma_fn, u, h))
+    """R[c, a, b, d] of the real connection field gamma_fn, with its
+    derivative stack by central differences of step h."""
+    return _curvature(gamma_fn(u), np.moveaxis(jacobian(gamma_fn, u, h), -1, 0))
 
 
 def _covariant_ext(t, dt, gamma_d):
@@ -413,11 +429,6 @@ def _covariant_ext(t, dt, gamma_d):
         - np.einsum("ceb,edf->cdfb", t, gd)
     )
     return cov - cov.transpose(0, 2, 1, 3)
-
-
-def _covariant_ext_derivative(field_fn, gamma_d, u, h):
-    """d_D of an End-valued one-form field: output [c, a, f, b]."""
-    return _covariant_ext(field_fn(u), _fd_stack(field_fn, u, h), gamma_d)
 
 
 @dataclass(frozen=True)
@@ -440,26 +451,27 @@ def check_equations(prep: Prepotential, z, tol: float = 1e-5, h: float = 1e-5) -
     e6 (dbar Abar), e8 (dD Abar), e9 (R_D + A^Abar + Abar^A),
     dbarA (holomorphy of the Higgs field) and the full real flatness
     residual of nabla.
+
+    Every derivative comes from the analytic jets of the Levi-Civita and
+    flat connections at the point, so nothing is evaluated off it.  h is
+    unused apart from being validated; it stays for the callers that
+    pass the sweep's step.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
     z = prep.as_point(z)
     prep.require_domain(z)
-    u = z_to_u(z)
     n = prep.n
     p10, p01 = type_projectors(n)
 
-    # every field is built once per stencil point; conjugation commutes
-    # exactly with the central difference, so Abar's stack is conj of A's
-    conn_fn = _field_factory(prep, "connection")
-    try:
-        gamma_d, ar, a = conn_fn(u)
-        pairs = _stencil(conn_fn, u, h)
-    except (DomainError, MetricDegenerateError, FDEvaluationError) as exc:
-        raise StencilError(f"shrink step or move point: {exc}") from exc
-    d_lc, d_ar, d_a = (
-        _central([(plus[k], minus[k]) for plus, minus in pairs], h) for k in range(3)
-    )
+    gamma_d, d_lc = levi_civita_jet(prep, z)
+    gamma_f, d_flat = flat_connection_jet(prep, z)
+    ar = gamma_f - gamma_d
+    d_ar = d_flat - d_lc
+    # the type projection is constant, so A's stack is the projected stack
+    # of nabla - D, and Abar's is its conjugate
+    a = _higgs_part(ar)
+    d_a = _higgs_part(d_ar)
     abar = np.conj(a)
     r_d = _curvature(gamma_d, d_lc)
     dd_a = _covariant_ext(a, d_a, gamma_d)
@@ -616,21 +628,16 @@ def sample_points(prep: Prepotential, count: int, seed: int,
     return pts
 
 
-def point_data(prep: Prepotential, z, h: float = 1e-5,
-               with_curvature: bool = True) -> SpecialKahlerPoint:
-    """All pointwise geometry in one structure."""
+def point_data(prep: Prepotential, z, with_curvature: bool = True) -> SpecialKahlerPoint:
+    """All pointwise geometry in one structure; the curvature of the
+    Levi-Civita connection comes from its analytic jet."""
     z = prep.as_point(z)
     md = metric_at(prep, z)
     chart = flat_chart_at(prep, z)
     gamma_flat = flat_connection_at(prep, z)
     gamma_lc = levi_civita_at(prep, z)
     a, abar, off = higgs_at(prep, z)
-    curv = None
-    if with_curvature:
-        try:
-            curv = curvature_of_connection(_field_factory(prep, "lc"), z_to_u(z), h)
-        except (DomainError, FDEvaluationError) as exc:
-            raise StencilError(f"shrink step or move point: {exc}") from exc
+    curv = _curvature(*levi_civita_jet(prep, z)) if with_curvature else None
     return SpecialKahlerPoint(
         z=z,
         tau=np.asarray(prep.hess(z), dtype=complex),

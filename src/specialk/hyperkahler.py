@@ -202,15 +202,17 @@ def _frame_jet(prep: Prepotential, pt: CotangentPoint):
 
 
 def structure_derivative_stacks(prep: Prepotential, pt: CotangentPoint, h: float = 1e-4):
-    """(I, J, K) at the point and their derivative stacks over all 4n
-    cotangent coordinates, [d, a, b] = d_d S_ab.
+    """(I, J, K, gTM) at the point, as the frame, and their derivative
+    stacks over all 4n cotangent coordinates, [d, a, b] = d_d M_ab.
 
     The stacks are exact chain-rule derivatives of one frame build (the
     flat connection's u-derivative comes from the catalog's fourth
-    derivatives), so they carry rounding only.  h is unused; it stays in
-    the signature for the callers that pass it."""
-    fr, d_i, d_j, d_k, _ = _frame_jet(prep, pt)
-    return fr, (d_i, d_j, d_k)
+    derivatives), so they carry rounding only.  nijenhuis_at and
+    kahler_form_closedness take the result as _stacks, so one build
+    serves both.  h is unused; it stays in the signature for the callers
+    that pass it."""
+    fr, *stacks = _frame_jet(prep, pt)
+    return fr, tuple(stacks)
 
 
 def _nijenhuis_from(s, ds):
@@ -227,8 +229,9 @@ def nijenhuis_at(prep: Prepotential, pt: CotangentPoint, structure="J",
                  h: float = 1e-4, _stacks=None) -> float:
     """Integrability residual for I, J, K or a twistor-sphere structure
     (pass a complex zeta for I_zeta), from the analytic stacks of
-    structure_derivative_stacks; h is unused."""
-    fr, (d_i, d_j, d_k) = _stacks if _stacks is not None else \
+    structure_derivative_stacks (built here unless passed as _stacks);
+    h is unused."""
+    fr, (d_i, d_j, d_k, _) = _stacks if _stacks is not None else \
         structure_derivative_stacks(prep, pt, h)
     if isinstance(structure, str):
         mats = {"I": (fr.imat, d_i), "J": (fr.jmat, d_j), "K": (fr.kmat, d_k)}
@@ -242,10 +245,13 @@ def nijenhuis_at(prep: Prepotential, pt: CotangentPoint, structure="J",
     return _nijenhuis_from(s, ds)
 
 
-def kahler_form_closedness(prep: Prepotential, pt: CotangentPoint, h: float = 1e-4):
+def kahler_form_closedness(prep: Prepotential, pt: CotangentPoint, h: float = 1e-4,
+                           _stacks=None):
     """Sup-norm of d(omega_S) for S in {I, J, K}, omega_S = gTM(S., .),
-    from the analytic stacks of one frame jet; h is unused."""
-    fr, d_i, d_j, d_k, d_gtm = _frame_jet(prep, pt)
+    from the analytic stacks of structure_derivative_stacks (built here
+    unless passed as _stacks); h is unused."""
+    fr, (d_i, d_j, d_k, d_gtm) = _stacks if _stacks is not None else \
+        structure_derivative_stacks(prep, pt, h)
     out = {}
     for name, s, ds in (("I", fr.imat, d_i), ("J", fr.jmat, d_j), ("K", fr.kmat, d_k)):
         # dom[a, b, c] = d_a omega_{bc}

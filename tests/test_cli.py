@@ -336,6 +336,18 @@ class TestHyperkahler:
         assert {"nijenhuis_I", "nijenhuis_J", "nijenhuis_K"} <= names
         assert sum(1 for k in names if k.startswith("nijenhuis_zeta")) == 8
 
+    def test_nijenhuis_builds_one_frame_jet_per_point(self, monkeypatch, capsys):
+        """The Nijenhuis and closedness suites of a point share one jet."""
+        from specialk import hyperkahler
+
+        built = []
+        frame_jet = hyperkahler._frame_jet
+        monkeypatch.setattr(hyperkahler, "_frame_jet",
+                            lambda *a: built.append(a) or frame_jet(*a))
+        assert run(["hk", "nijenhuis", "--entry", "coupled", "--points", "3"]) == 0
+        strict_loads(capsys.readouterr().out)
+        assert len(built) == 3
+
     def test_nijenhuis_near_boundary_gets_verdict(self, monkeypatch, capsys):
         """A point 1e-4 from cubic's boundary, inside any stencil's reach at
         --step 1e-4, gets a verdict: the derivative stacks are analytic and

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from specialk import geometry as geo
-from specialk.fd import jacobian
+from specialk.fd import jacobian, jacobian4
 from specialk.prepotentials import Coupled, Cubic, Quadratic, SWLog
 
 ENTRIES = [Quadratic(), Cubic(), SWLog(), Coupled()]
@@ -161,6 +161,26 @@ class TestConnections:
         assert np.max(np.abs(gamma_fd - geo.levi_civita_at(prep, z))) < 1e-6
 
 
+class TestLeviCivitaJet:
+    """The chain-rule jet against the fourth-order stencil of
+    levi_civita_at as the reference, on criterion 2's and 4's points."""
+
+    @pytest.mark.parametrize(
+        "prep", [Cubic(), SWLog(), Coupled(), Quadratic(n=2)], ids=lambda p: f"{p.name}{p.n}"
+    )
+    def test_matches_fourth_order_stencil(self, prep):
+        def lc(u):
+            return geo.levi_civita_at(prep, geo.u_to_z(u))
+
+        for seed in (2, 4):
+            for z in entry_points(prep, 64, seed=seed):
+                gamma, dgamma = geo.levi_civita_jet(prep, z)
+                assert np.array_equal(gamma, geo.levi_civita_at(prep, z))
+                stencil = np.moveaxis(jacobian4(lc, geo.z_to_u(z), h=1e-4), -1, 0)
+                scale = max(1.0, float(np.max(np.abs(stencil))))
+                assert np.max(np.abs(dgamma - stencil)) <= 1e-8 * scale
+
+
 class TestHiggs:
     def test_quadratic_vanishes(self):
         a, abar, off = geo.higgs_at(Quadratic(), [0.2 + 0.9j])
@@ -207,9 +227,15 @@ class TestEquationSuite:
         z = entry_points(prep, 1, seed=19)[0]
         assert geo.check_equations(prep, z, tol=1e-5).passed
 
-    def test_stencil_error_near_boundary(self):
-        with pytest.raises(geo.StencilError):
-            geo.check_equations(Cubic(), [0.5 + 1e-7j], tol=1e-5, h=1e-5)
+    def test_near_boundary_gets_residuals(self):
+        """A point 1e-7 from cubic's boundary, where a stencil of step 1e-5
+        would leave the domain, gets residuals: the jets evaluate nothing
+        off the point."""
+        rep = geo.check_equations(Cubic(), [0.5 + 1e-7j], tol=1e-5, h=1e-5)
+        assert set(rep.residuals) == {
+            "e2", "e3", "e5", "e6", "e8", "e9", "dbarA", "flatness",
+        }
+        assert all(np.isfinite(v) for v in rep.residuals.values())
 
     @pytest.mark.parametrize("h", [0.0, -1e-5])
     def test_rejects_nonpositive_step(self, h):
@@ -221,17 +247,40 @@ class TestEquationSuite:
         [(Cubic(), 3), (SWLog(), 5), (Coupled(), 7), (Quadratic(n=3), 9)],
         ids=("cubic", "swlog", "coupled", "quadratic3"),
     )
-    def test_bitwise_equal_to_per_kind_fields(self, prep, seed):
-        """One build of every connection per stencil point gives the same
-        bits as differencing each field kind on its own."""
+    def test_matches_stencil_reference(self, prep, seed):
+        """The analytic suite and the central-difference reference both pass
+        on the same points, and the analytic stacks of A and nabla - D match
+        the stencil stacks within its truncation."""
         for z in entry_points(prep, 3, seed=seed):
-            ref = reference_equation_residuals(prep, z, h=1e-5)
-            assert geo.check_equations(prep, z, h=1e-5).residuals == ref
+            ref, stacks = stencil_equation_suite(prep, z, h=1e-5)
+            rep = geo.check_equations(prep, z, tol=1e-5, h=1e-5)
+            assert rep.passed, rep.failing()
+            assert all(v < 1e-5 for v in ref.values()), ref
+            assert set(rep.residuals) == set(ref)
+            d_lc = geo.levi_civita_jet(prep, z)[1]
+            d_ar = geo.flat_connection_jet(prep, z)[1] - d_lc
+            for analytic, stencil in ((d_lc, stacks["lc"]), (d_ar, stacks["ar"]),
+                                      (geo._higgs_part(d_ar), stacks["a"])):
+                scale = max(1.0, float(np.max(np.abs(stencil))))
+                assert np.max(np.abs(analytic - stencil)) <= 1e-7 * scale
 
 
-def reference_equation_residuals(prep, z, h):
-    """The equation suite with a separate stencil per field kind: Levi-Civita
-    for the curvature, then A, Abar and nabla - D for d_D."""
+def _central_stack(fn, u, h):
+    """dF[d, ...] = central difference of fn along the chart direction d;
+    fn may be complex-valued."""
+    out = []
+    for d in range(u.size):
+        e = np.zeros_like(u)
+        e[d] = h
+        out.append((fn(u + e) - fn(u - e)) / (2.0 * h))
+    return np.stack(out)
+
+
+def stencil_equation_suite(prep, z, h):
+    """The equation suite with central differences of step h over the
+    Levi-Civita connection, nabla - D and A, each rebuilt at the 4n stencil
+    points: the reference for the analytic jets.  Returns the residuals
+    and the stacks {"lc", "ar", "a"}."""
     u = geo.z_to_u(z)
 
     def field(build):
@@ -242,22 +291,24 @@ def reference_equation_residuals(prep, z, h):
         return fn
 
     lc_fn = field(lambda zz: geo.levi_civita_at(prep, zz))
-    a_fn = field(lambda zz: geo.higgs_at(prep, zz)[0])
     ar_fn = field(lambda zz: geo.flat_connection_at(prep, zz) - geo.levi_civita_at(prep, zz))
+    a_fn = field(lambda zz: geo.higgs_at(prep, zz)[0])
+    stacks = {key: _central_stack(fn, u, h)
+              for key, fn in (("lc", lc_fn), ("ar", ar_fn), ("a", a_fn))}
     gamma_d = lc_fn(u)
-    a, abar, _ = geo.higgs_at(prep, z)
-    r_d = geo.curvature_of_connection(lc_fn, u, h)
-    dd_a = geo._covariant_ext_derivative(a_fn, gamma_d, u, h)
-    dd_abar = geo._covariant_ext_derivative(lambda v: np.conj(a_fn(v)), gamma_d, u, h)
-    dd_ar = geo._covariant_ext_derivative(ar_fn, gamma_d, u, h)
     ar = ar_fn(u)
+    a, abar, _ = geo.higgs_at(prep, z)
+    r_d = geo._curvature(gamma_d, stacks["lc"])
+    dd_a = geo._covariant_ext(a, stacks["a"], gamma_d)
+    dd_abar = geo._covariant_ext(abar, np.conj(stacks["a"]), gamma_d)
+    dd_ar = geo._covariant_ext(ar, stacks["ar"], gamma_d)
     p10, p01 = geo.type_projectors(prep.n)
     proj, wedge = geo._project_form_slots, geo._wedge
 
     def sup(t):
         return float(np.max(np.abs(t)))
 
-    return {
+    residuals = {
         "e2": sup(proj(dd_a + wedge(a, a), p10, p10)),
         "e3": sup(proj(dd_abar + wedge(abar, abar), p01, p01)),
         "e5": sup(proj(dd_a, p10, p10)),
@@ -267,6 +318,7 @@ def reference_equation_residuals(prep, z, h):
         "dbarA": sup(proj(dd_a, p01, p10)),
         "flatness": sup(r_d + dd_ar + wedge(ar, ar)),
     }
+    return residuals, stacks
 
 
 class TestKahlerPotential:

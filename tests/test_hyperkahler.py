@@ -96,10 +96,11 @@ class TestJ:
     def test_quadratic_j_constant_over_cotangent(self):
         prep = Quadratic()
         pt = pt_for(prep, seed=3)
-        _, (d_i, d_j, d_k) = hk.structure_derivative_stacks(prep, pt)
+        _, (d_i, d_j, d_k, d_gtm) = hk.structure_derivative_stacks(prep, pt)
         assert np.max(np.abs(d_i)) < 1e-10
         assert np.max(np.abs(d_j)) < 1e-10
         assert np.max(np.abs(d_k)) < 1e-10
+        assert np.max(np.abs(d_gtm)) < 1e-10
 
     def test_anticommutation_cubic(self):
         prep = Cubic()
@@ -167,7 +168,10 @@ class TestAnalyticStacks:
             shared = hk.structure_derivative_stacks(prep, pt)
             for s in ("I", "J", "K", *zetas):
                 assert hk.nijenhuis_at(prep, pt, s, _stacks=shared) <= 1e-10
-            assert max(hk.kahler_form_closedness(prep, pt).values()) <= 1e-10
+            closed = hk.kahler_form_closedness(prep, pt)
+            assert max(closed.values()) <= 1e-10
+            # one jet serves both suites: the shared stacks give the same bits
+            assert hk.kahler_form_closedness(prep, pt, _stacks=shared) == closed
 
 
 class TestTwistorSphere:
