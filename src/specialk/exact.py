@@ -555,14 +555,13 @@ def leading_minors_positive(m: ExactMatrix) -> bool:
 class Subspace:
     """A linear subspace of C^n over Q(i) in canonical RREF form."""
 
-    __slots__ = ("ambient_dim", "_rows", "pivots")
+    __slots__ = ("ambient_dim", "_rows")
 
-    def __init__(self, ambient_dim, _rows=None, _pivots=None):
+    def __init__(self, ambient_dim, _rows=None):
         if ambient_dim <= 0:
             raise ValueError("ambient dimension must be positive")
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_rows", _rows if _rows is not None else ())
-        object.__setattr__(self, "pivots", _pivots if _pivots is not None else ())
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -572,8 +571,7 @@ class Subspace:
         """Subspace spanned by kernel rows of length 2 * ambient_dim + 1."""
         if not rows:
             return cls(ambient_dim)
-        red, pivots = _kernel.rref(rows, ambient_dim)
-        return cls(ambient_dim, _tuples(red), tuple(pivots))
+        return cls(ambient_dim, _tuples(_kernel.rref(rows, ambient_dim)[0]))
 
     @classmethod
     def span(cls, ambient_dim, vectors):
@@ -594,7 +592,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim):
-        return cls(ambient_dim, ExactMatrix.identity(ambient_dim)._rows, tuple(range(ambient_dim)))
+        return cls(ambient_dim, ExactMatrix.identity(ambient_dim)._rows)
 
     @property
     def dim(self) -> int:
@@ -665,12 +663,7 @@ class Subspace:
         rows = [r + r[1:] for r in self._rows]
         rows.extend(r + pad for r in other._rows)
         red, pivots = _kernel.rref(rows, 2 * n)
-        basis, piv = [], []
-        for r, p in zip(red, pivots):
-            if p >= n:
-                basis.append((r[0], *r[1 + 2 * n :]))
-                piv.append(p - n)
-        return Subspace(n, tuple(basis), tuple(piv))
+        return Subspace(n, tuple((r[0], *r[1 + 2 * n :]) for r, p in zip(red, pivots) if p >= n))
 
     __and__ = intersection
 
@@ -685,7 +678,7 @@ class Subspace:
 
     def conjugate(self) -> "Subspace":
         # conjugation keeps pivots 1 and zeros 0: an RREF stays an RREF
-        return Subspace(self.ambient_dim, tuple(_conj_row(r) for r in self._rows), self.pivots)
+        return Subspace(self.ambient_dim, tuple(_conj_row(r) for r in self._rows))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

@@ -3,7 +3,10 @@ residual suites that certify the defining equations.
 
 Conventions (fixed once, everything else is checked against them):
 
-* real chart u = (Re z, Im z) in R^{2n}; x = Re z, p = Im z;
+* real chart u = (x, p) = (Re z, Im z) in R^{2n}, with d/dp = i d/dx on
+  holomorphic functions: every real-chart array (g, omega and their
+  derivatives, the flat-chart Jacobians and second derivatives) is Re or
+  Im of this one rule applied to tau, C = d^3 F or d^4 F (_real_chart);
 * complex structure matrix I = [[0, Id], [-Id, 0]] acting on coefficient
   vectors (a, b) -> (b, -a).  This is the sign for which the flat-chart
   certificate d(p,q)/d(x,y) = I holds with (x, y) = (Re z, Re w);
@@ -16,9 +19,10 @@ Conventions (fixed once, everything else is checked against them):
 Connections are assembled analytically from the catalog's third
 derivatives, and their first derivatives (curvature, covariant exterior
 derivatives) by the chain rule from the fourth, so the equation suite
-takes no stencil and its residuals sit at rounding level.  Finite
-differences remain only in kahler_potential_residual, the independent
-check of the metric convention.
+takes no stencil and its residuals sit at rounding level.  Each public
+call reads tau, C, d^4 F and w at most once.  Finite differences remain
+only in kahler_potential_residual, the independent check of the metric
+convention.
 """
 
 from __future__ import annotations
@@ -99,10 +103,7 @@ def u_to_z(u):
 
 def complex_structure(n: int):
     """Matrix of I on the real chart."""
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, n:] = np.eye(n)
-    out[n:, :n] = -np.eye(n)
-    return out
+    return _offdiag(np.eye(n), -np.eye(n))
 
 
 def type_projectors(n: int):
@@ -113,20 +114,14 @@ def type_projectors(n: int):
 
 
 def holomorphic_frame(n: int):
-    """Columns span T^{1,0}: E_j = e_j + i e_{n+j}."""
-    e = np.zeros((2 * n, n), dtype=complex)
-    for j in range(n):
-        e[j, j] = 1.0
-        e[n + j, j] = 1.0j
-    return e
+    """Columns span T^{1,0}: E_j = e_j + i e_{n+j}, the real-chart stack
+    of the holomorphic unit vectors."""
+    return _real_chart(np.eye(n), (0,))
 
 
 def darboux_matrix(n: int):
-    """Matrix of sum dx_i ^ dy_i in the flat chart basis (x, y)."""
-    out = np.zeros((2 * n, 2 * n))
-    out[:n, n:] = np.eye(n)
-    out[n:, :n] = -np.eye(n)
-    return out
+    """Matrix of sum dx_i ^ dy_i in the flat chart basis (x, y): that of I."""
+    return complex_structure(n)
 
 
 @dataclass(frozen=True)
@@ -166,13 +161,75 @@ class SpecialKahlerPoint:
     curvature: np.ndarray | None = field(default=None)
 
 
-def _tau_blocks(prep: Prepotential, z, check_domain: bool = True):
-    if check_domain:
+def _blockdiag(a, d=None):
+    """[[a, 0], [0, d]] over the last two axes, with d = a unless given."""
+    n = a.shape[-1]
+    out = np.zeros(a.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = a
+    out[..., n:, n:] = a if d is None else d
+    return out
+
+
+def _offdiag(b, c):
+    """[[0, b], [c, 0]] over the last two axes."""
+    n = b.shape[-1]
+    out = np.zeros(b.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, n:] = b
+    out[..., n:, :n] = c
+    return out
+
+
+def _real_chart(t, axes):
+    """The real-chart rule: each listed axis of a holomorphic derivative
+    tensor, a direction z_i, becomes the 2n real directions (x, p) with
+    d/dp = i d/dx; i swaps real and imaginary parts, so inf stays inf."""
+    t = np.asarray(t, dtype=complex)
+    for ax in axes:
+        it = np.empty_like(t)
+        it.real, it.imag = -t.imag, t.real
+        t = np.concatenate([t, it], axis=ax)
+    return t
+
+
+def _tau(prep: Prepotential, z, domain: bool = True):
+    """tau = d^2 F at z, after the domain check unless domain is False; the
+    one place that holds the provider to an exactly symmetric tau."""
+    if domain:
         prep.require_domain(z)
     tau = np.asarray(prep.hess(z), dtype=complex)
     if not np.array_equal(tau, tau.T):
         raise ValueError(f"{prep.name}: provider returned non-symmetric tau")
-    return tau, tau.real, tau.imag
+    return tau
+
+
+def _metric(tau, z) -> MetricData:
+    """g and omega from tau, after the check that Im tau is positive."""
+    g = tau.imag
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise MetricDegenerateError(f"metric degenerate at point {z}") from None
+    return MetricData(imtau=g, g_real=_blockdiag(g), omega=_offdiag(-g, g))
+
+
+def _flat_jacobians(tau, z):
+    """(d(x, Re w)/du, d(p, Im w)/du), after the check that Im tau is far
+    enough from singular for (x, Re w) to be a chart."""
+    sv = np.linalg.svd(tau.imag, compute_uv=False)
+    if sv[-1] <= 1e-9 * sv[0]:
+        raise FlatChartDegenerateError(f"flat chart degenerate at point {z}")
+    dzw = _real_chart(np.concatenate([np.eye(len(tau)), tau]), (1,))   # d(z, w)/du
+    return dzw.real, dzw.imag
+
+
+def _checked(prep: Prepotential, z, metric_first: bool = False):
+    """(tau, metric, flat Jacobian) after the checks of the domain, tau,
+    the metric and the chart; metric_first checks the domain after g."""
+    tau = _tau(prep, z, domain=not metric_first)
+    md = _metric(tau, z)
+    if metric_first:
+        prep.require_domain(z)
+    return tau, md, _flat_jacobians(tau, z)[0]
 
 
 def metric_at(prep: Prepotential, z) -> MetricData:
@@ -181,57 +238,22 @@ def metric_at(prep: Prepotential, z) -> MetricData:
     Positivity of Im tau is the check this operation owns, so it is
     evaluated wherever tau is defined; the domain predicate is enforced
     by the samplers and the stencil-based checks."""
-    tau, _, g = _tau_blocks(prep, z, check_domain=False)
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise MetricDegenerateError(f"metric degenerate at point {z}") from None
-    n = g.shape[0]
-    g_real = np.zeros((2 * n, 2 * n))
-    g_real[:n, :n] = g
-    g_real[n:, n:] = g
-    omega = np.zeros((2 * n, 2 * n))
-    omega[:n, n:] = -g
-    omega[n:, :n] = g
-    return MetricData(imtau=g, g_real=g_real, omega=omega)
+    return _metric(_tau(prep, z, domain=False), z)
 
 
-def _metric_derivatives(prep: Prepotential, z):
-    """(dG, dT, dg_real, dOmega) from the analytic third derivatives;
-    index a of each stack is the real-chart direction of differentiation."""
-    n = prep.n
-    c = np.asarray(prep.third(z), dtype=complex)
-    dg = np.empty((2 * n, n, n))
-    dt = np.empty((2 * n, n, n))
-    for i in range(n):
-        dg[i] = c[i].imag
-        dg[n + i] = c[i].real
-        dt[i] = c[i].real
-        dt[n + i] = -c[i].imag
-    dg_real = np.zeros((2 * n, 2 * n, 2 * n))
-    domega = np.zeros((2 * n, 2 * n, 2 * n))
-    for a in range(2 * n):
-        dg_real[a, :n, :n] = dg[a]
-        dg_real[a, n:, n:] = dg[a]
-        domega[a, :n, n:] = -dg[a]
-        domega[a, n:, :n] = dg[a]
-    return dg, dt, dg_real, domega
+def _metric_derivatives(c):
+    """(dg, dOmega), each [a, b, c] = d_a M_bc, from the third derivatives:
+    d Im tau is Im of the real-chart stack of C."""
+    dimtau = _real_chart(c, (0,)).imag
+    return _blockdiag(dimtau), _offdiag(-dimtau, dimtau)
 
 
 def flat_chart_at(prep: Prepotential, z) -> FlatChart:
     """Darboux data (x, y) = (Re z, Re w), momenta (p, q) = (Im z, Im w)."""
     z = prep.as_point(z)
-    tau, t, g = _tau_blocks(prep, z)
-    n = prep.n
-    sv = np.linalg.svd(g, compute_uv=False)
-    if sv[-1] <= 1e-9 * sv[0]:
-        raise FlatChartDegenerateError(f"flat chart degenerate at point {z}")
+    jac = _flat_jacobians(_tau(prep, z), z)[0]
     w = np.asarray(prep.grad(z), dtype=complex)
-    jac = np.zeros((2 * n, 2 * n))
-    jac[:n, :n] = np.eye(n)
-    jac[n:, :n] = t
-    jac[n:, n:] = -g
-    second = _flat_second(np.asarray(prep.third(z), dtype=complex))
+    second = _flat_second(prep.third(z))
     return FlatChart(x=z.real, y=w.real, p=z.imag, q=w.imag, jacobian=jac, second=second)
 
 
@@ -239,21 +261,31 @@ def _flat_second(c):
     """second[..., a, i, j] = d^2 xi^a / du^i du^j from third derivatives
     c[..., r, i, j]; only the rows of y = Re w are nonzero.  Linear over
     the reals in c, so it also maps derivatives of c to those of second."""
-    n = c.shape[-1]
-    second = np.zeros(c.shape[:-3] + (2 * n, 2 * n, 2 * n))
-    second[..., n:, :n, :n] = c.real
-    second[..., n:, :n, n:] = -c.imag
-    second[..., n:, n:, :n] = -c.imag
-    second[..., n:, n:, n:] = -c.real
-    return second
+    d2w = _real_chart(c, (-2, -1)).real
+    return np.concatenate([np.zeros_like(d2w), d2w], axis=-3)
+
+
+def _flat_jet(jac, c, q=None):
+    """(Gamma, dGamma) of the flat connection: Gamma = Jac^{-1} second from
+    C, and with the fourth derivatives q (else None) dGamma[d, k, i, j] =
+    d_d Gamma^k_{ij} along the real-chart direction d, as
+    Jac^{-1} (d second - dJac Gamma), where dJac[d][a, b] = second[a, d, b]
+    because Jac = dxi/du."""
+    jinv = np.linalg.inv(jac)
+    second = _flat_second(c)
+    gamma = np.einsum("ka,aij->kij", jinv, second)
+    if q is None:
+        return gamma, None
+    dsecond = _flat_second(_real_chart(q, (0,)))
+    djac_gamma = np.einsum("adb,bij->daij", second, gamma)
+    return gamma, np.einsum("ka,daij->dkij", jinv, dsecond - djac_gamma)
 
 
 def flat_omega_residual(prep: Prepotential, z) -> float:
     """Sup-norm distance of the pushed-forward Kahler form from the
     standard Darboux matrix in the flat chart."""
-    md = metric_at(prep, z)
-    chart = flat_chart_at(prep, z)
-    jinv = np.linalg.inv(chart.jacobian)
+    _, md, jac = _checked(prep, z, metric_first=True)
+    jinv = np.linalg.inv(jac)
     omega_flat = jinv.T @ md.omega @ jinv
     return float(np.max(np.abs(omega_flat - darboux_matrix(prep.n))))
 
@@ -261,49 +293,24 @@ def flat_omega_residual(prep: Prepotential, z) -> float:
 def flat_structure_certificate(prep: Prepotential, z) -> float:
     """Residual of d(p,q)/d(x,y) against the matrix of I in the flat
     chart (the numerical certificate that nabla X = I)."""
-    z = prep.as_point(z)
-    tau, t, g = _tau_blocks(prep, z)
-    n = prep.n
-    chart = flat_chart_at(prep, z)
-    jinv = np.linalg.inv(chart.jacobian)
-    dpq_du = np.zeros((2 * n, 2 * n))
-    dpq_du[:n, n:] = np.eye(n)
-    dpq_du[n:, :n] = g
-    dpq_du[n:, n:] = t
+    jac, dpq_du = _flat_jacobians(_tau(prep, z), z)
+    jinv = np.linalg.inv(jac)
     lhs = dpq_du @ jinv
-    rhs = chart.jacobian @ complex_structure(n) @ jinv
+    rhs = jac @ complex_structure(prep.n) @ jinv
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def flat_connection_at(prep: Prepotential, z):
     """Christoffels of the flat connection in the real chart, from the
     transformation out of the chart where it vanishes."""
-    chart = flat_chart_at(prep, z)
-    jinv = np.linalg.inv(chart.jacobian)
-    return np.einsum("ka,aij->kij", jinv, chart.second)
-
-
-def _chart_stack(c, axis=0):
-    """Holomorphic derivatives along axis (length n) extended to the 2n
-    real chart directions (x, y): d/dy = i d/dx."""
-    return np.concatenate([c, 1j * c], axis=axis)
+    return _flat_jet(_flat_jacobians(_tau(prep, z), z)[0], prep.third(z))[0]
 
 
 def flat_connection_jet(prep: Prepotential, z):
     """(Gamma, dGamma) of the flat connection from one flat-chart build,
     with dGamma[d, k, i, j] = d_d Gamma^k_{ij} along the real-chart
-    direction d.
-
-    Gamma = Jac^{-1} second, so dGamma = Jac^{-1} (d second - dJac Gamma);
-    dJac[d][a, b] = second[a, d, b] because Jac = dxi/du, and d second
-    comes from the fourth derivatives with d/dy = i d/dx."""
-    chart = flat_chart_at(prep, z)
-    jinv = np.linalg.inv(chart.jacobian)
-    gamma = np.einsum("ka,aij->kij", jinv, chart.second)
-    q = np.asarray(prep.fourth(z), dtype=complex)
-    dsecond = _flat_second(_chart_stack(q))
-    djac_gamma = np.einsum("adb,bij->daij", chart.second, gamma)
-    return gamma, np.einsum("ka,daij->dkij", jinv, dsecond - djac_gamma)
+    direction d."""
+    return _flat_jet(_flat_jacobians(_tau(prep, z), z)[0], prep.third(z), prep.fourth(z))
 
 
 def _lowered_christoffel(dg):
@@ -320,34 +327,33 @@ def _raise_first(ginv, s):
     return (ginv @ s.reshape(s.shape[:-2] + (m * m,))).reshape(s.shape)
 
 
+def _lc_jet(g_real, c, q=None):
+    """(Gamma, dGamma) of the Levi-Civita connection: Gamma = g^{-1} s from
+    C, and with the fourth derivatives q (else None) dGamma[d, k, i, j] =
+    d_d Gamma^k_{ij}: s is linear in dg, so d(g^{-1}) = -g^{-1} dg g^{-1}
+    gives dGamma = g^{-1} (ds - dg Gamma), with ds the s of ddg, which is
+    Im of q's real-chart stack."""
+    dg, _ = _metric_derivatives(c)
+    ginv = np.linalg.inv(g_real)
+    gamma = _raise_first(ginv, _lowered_christoffel(dg))
+    if q is None:
+        return gamma, None
+    ddg = _blockdiag(_real_chart(q, (0, 1)).imag)
+    n2 = g_real.shape[0]
+    dg_gamma = (dg @ gamma.reshape(n2, n2 * n2)).reshape(ddg.shape)
+    return gamma, _raise_first(ginv, _lowered_christoffel(ddg) - dg_gamma)
+
+
 def levi_civita_at(prep: Prepotential, z):
     """Levi-Civita Christoffels of g in the real chart (analytic)."""
-    md = metric_at(prep, z)
-    _, _, dg_real, _ = _metric_derivatives(prep, z)
-    return _raise_first(np.linalg.inv(md.g_real), _lowered_christoffel(dg_real))
+    return _lc_jet(metric_at(prep, z).g_real, prep.third(z))[0]
 
 
 def levi_civita_jet(prep: Prepotential, z):
     """(Gamma, dGamma) of the Levi-Civita connection at one point, with
-    dGamma[d, k, i, j] = d_d Gamma^k_{ij} along the real-chart direction d.
-
-    Gamma = g^{-1} s with s linear in dg, so d(g^{-1}) = -g^{-1} dg g^{-1}
-    gives dGamma = g^{-1} (ds - dg Gamma); ds is s of the second
-    derivatives of g = blockdiag(Im tau, Im tau), which are Im of the
-    fourth derivatives of F with d/dy = i d/dx in both slots."""
-    md = metric_at(prep, z)
-    _, _, dg, _ = _metric_derivatives(prep, z)
-    ginv = np.linalg.inv(md.g_real)
-    gamma = _raise_first(ginv, _lowered_christoffel(dg))
-    n = prep.n
-    n2 = 2 * n
-    q = np.asarray(prep.fourth(z), dtype=complex)
-    ddg_blk = _chart_stack(_chart_stack(q), axis=1).imag
-    ddg = np.zeros((n2, n2, n2, n2))
-    ddg[..., :n, :n] = ddg_blk
-    ddg[..., n:, n:] = ddg_blk
-    dg_gamma = (dg @ gamma.reshape(n2, n2 * n2)).reshape(ddg.shape)
-    return gamma, _raise_first(ginv, _lowered_christoffel(ddg) - dg_gamma)
+    dGamma[d, k, i, j] = d_d Gamma^k_{ij} along the real-chart direction d,
+    from tau, C and the fourth derivatives of F."""
+    return _lc_jet(metric_at(prep, z).g_real, prep.third(z), prep.fourth(z))
 
 
 def lc_holomorphic(prep: Prepotential, z):
@@ -362,7 +368,9 @@ def lc_holomorphic(prep: Prepotential, z):
 def higgs_at(prep: Prepotential, z):
     """(A, Abar, off-type residual): A is the (1,0)-form part of
     nabla - D mapping T^{1,0} -> T^{0,1}; Abar its conjugate."""
-    ar = flat_connection_at(prep, z) - levi_civita_at(prep, z)
+    tau = _tau(prep, z)
+    jac, c = _flat_jacobians(tau, z)[0], prep.third(z)
+    ar = _flat_jet(jac, c)[0] - _lc_jet(_metric(tau, z).g_real, c)[0]
     a = _higgs_part(ar)
     abar = np.conj(a)
     offtype = float(np.max(np.abs(ar - a - abar)))
@@ -460,12 +468,12 @@ def check_equations(prep: Prepotential, z, tol: float = 1e-5, h: float = 1e-5) -
     if h <= 0:
         raise ValueError("step size must be positive")
     z = prep.as_point(z)
-    prep.require_domain(z)
-    n = prep.n
-    p10, p01 = type_projectors(n)
+    _, md, jac = _checked(prep, z)
+    c, q = prep.third(z), prep.fourth(z)
+    p10, p01 = type_projectors(prep.n)
 
-    gamma_d, d_lc = levi_civita_jet(prep, z)
-    gamma_f, d_flat = flat_connection_jet(prep, z)
+    gamma_d, d_lc = _lc_jet(md.g_real, c, q)
+    gamma_f, d_flat = _flat_jet(jac, c, q)
     ar = gamma_f - gamma_d
     d_ar = d_flat - d_lc
     # the type projection is constant, so A's stack is the projected stack
@@ -500,10 +508,10 @@ def check_special_conditions(prep: Prepotential, z, tol: float = 1e-5) -> Equati
     nabla omega = 0, d omega = 0 and the exact tau-symmetry that makes
     Re Omega = sum dx^dy - sum dp^dq vanish."""
     z = prep.as_point(z)
-    tau, _, _ = _tau_blocks(prep, z)
-    md = metric_at(prep, z)
-    _, _, _, domega = _metric_derivatives(prep, z)
-    gamma = flat_connection_at(prep, z)
+    tau, md, jac = _checked(prep, z)
+    c = prep.third(z)
+    _, domega = _metric_derivatives(c)
+    gamma, _ = _flat_jet(jac, c)
     im = complex_structure(prep.n)
 
     comm = np.einsum("cie,ej->cij", gamma, im) - np.einsum("ce,eij->cij", im, gamma)
@@ -632,16 +640,21 @@ def point_data(prep: Prepotential, z, with_curvature: bool = True) -> SpecialKah
     """All pointwise geometry in one structure; the curvature of the
     Levi-Civita connection comes from its analytic jet."""
     z = prep.as_point(z)
-    md = metric_at(prep, z)
-    chart = flat_chart_at(prep, z)
-    gamma_flat = flat_connection_at(prep, z)
-    gamma_lc = levi_civita_at(prep, z)
-    a, abar, off = higgs_at(prep, z)
-    curv = _curvature(*levi_civita_jet(prep, z)) if with_curvature else None
+    tau, md, jac = _checked(prep, z, metric_first=True)
+    w = np.asarray(prep.grad(z), dtype=complex)
+    c = np.asarray(prep.third(z), dtype=complex)
+    chart = FlatChart(x=z.real, y=w.real, p=z.imag, q=w.imag, jacobian=jac,
+                      second=_flat_second(c))
+    gamma_flat, _ = _flat_jet(jac, c)
+    gamma_lc, d_lc = _lc_jet(md.g_real, c, prep.fourth(z) if with_curvature else None)
+    curv = _curvature(gamma_lc, d_lc) if with_curvature else None
+    ar = gamma_flat - gamma_lc
+    a = _higgs_part(ar)
+    abar = np.conj(a)
     return SpecialKahlerPoint(
         z=z,
-        tau=np.asarray(prep.hess(z), dtype=complex),
-        third=np.asarray(prep.third(z), dtype=complex),
+        tau=tau,
+        third=c,
         metric=md,
         flat=chart,
         imat=complex_structure(prep.n),
@@ -649,6 +662,6 @@ def point_data(prep: Prepotential, z, with_curvature: bool = True) -> SpecialKah
         gamma_lc=gamma_lc,
         higgs=a,
         higgs_bar=abar,
-        higgs_offtype=off,
+        higgs_offtype=float(np.max(np.abs(ar - a - abar))),
         curvature=curv,
     )

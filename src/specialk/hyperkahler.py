@@ -85,39 +85,37 @@ class HyperkahlerFrame:
     g_real: np.ndarray     # base metric at the projection
 
 
-def _frame_blocks(prep: Prepotential, pt: CotangentPoint):
-    md = geometry.metric_at(prep, pt.z)
-    gamma = geometry.flat_connection_at(prep, pt.z)
+def _frame_blocks(prep: Prepotential, pt: CotangentPoint, jet: bool = False):
+    """(md, s, s_inv): the base metric, the frame matrix and its inverse,
+    from one read of tau and C; with jet=True also (Gamma_flat, dGamma_flat,
+    dg), read with d^4 F, the jet along which _frame_jet differentiates it."""
+    _, md, jac = geometry._checked(prep, pt.z, metric_first=True)
+    c = prep.third(pt.z)
+    gamma, dgamma = geometry._flat_jet(jac, c, prep.fourth(pt.z) if jet else None)
     n2 = 2 * prep.n
     w = np.einsum("cab,c->ab", gamma, pt.alpha)
     s = np.eye(2 * n2)
     s[n2:, :n2] = w
     s_inv = np.eye(2 * n2)
     s_inv[n2:, :n2] = -w
-    return md, s, s_inv
+    if not jet:
+        return md, s, s_inv
+    return md, s, s_inv, gamma, dgamma, geometry._metric_derivatives(c)[0]
 
 
 def tangent_split_at(prep: Prepotential, pt: CotangentPoint) -> HyperkahlerFrame:
     """Split T(T*M) into the flat-horizontal and vertical subspaces and
     assemble the quaternionic triple and metric in coordinates."""
-    md, s, s_inv = _frame_blocks(prep, pt)
-    n2 = 2 * prep.n
-    ibase = geometry.complex_structure(prep.n)
+    return _tangent_split(pt, *_frame_blocks(prep, pt))
+
+
+def _tangent_split(pt: CotangentPoint, md, s, s_inv) -> HyperkahlerFrame:
     g = md.g_real
     ginv = np.linalg.inv(g)
-
-    i_frame = np.zeros((2 * n2, 2 * n2))
-    i_frame[:n2, :n2] = ibase
-    i_frame[n2:, n2:] = ibase.T
-    j_frame = np.zeros_like(i_frame)
-    j_frame[:n2, n2:] = -ginv
-    j_frame[n2:, :n2] = g
-    gtm_frame = np.zeros_like(i_frame)
-    gtm_frame[:n2, :n2] = g
-    gtm_frame[n2:, n2:] = ginv
-
-    imat = s @ i_frame @ s_inv
-    jmat = s @ j_frame @ s_inv
+    ibase = geometry.complex_structure(len(g) // 2)
+    # I, J and gTM in the (horizontal, vertical) frame, carried to coordinates
+    imat = s @ geometry._blockdiag(ibase, ibase.T) @ s_inv
+    jmat = s @ geometry._offdiag(-ginv, g) @ s_inv
     return HyperkahlerFrame(
         point=pt,
         s=s,
@@ -125,7 +123,7 @@ def tangent_split_at(prep: Prepotential, pt: CotangentPoint) -> HyperkahlerFrame
         imat=imat,
         jmat=jmat,
         kmat=imat @ jmat,
-        gtm=s_inv.T @ gtm_frame @ s_inv,
+        gtm=s_inv.T @ geometry._blockdiag(g, ginv) @ s_inv,
         g_real=g,
     )
 
@@ -176,9 +174,8 @@ def _frame_jet(prep: Prepotential, pt: CotangentPoint):
     dW = dGamma.alpha along u and Gamma^c along alpha_c.  The only block
     of dS is lower left, so dS S^-1 = S dS = dS and the conjugations leave
     commutators with dS."""
-    fr = tangent_split_at(prep, pt)
-    gamma, dgamma = geometry.flat_connection_jet(prep, pt.z)
-    dg = geometry._metric_derivatives(prep, pt.z)[2]
+    md, s, s_inv, gamma, dgamma, dg = _frame_blocks(prep, pt, jet=True)
+    fr = _tangent_split(pt, md, s, s_inv)
     n2 = 2 * prep.n
     n4 = 2 * n2
     ds = np.zeros((n4, n4, n4))
@@ -187,12 +184,9 @@ def _frame_jet(prep: Prepotential, pt: CotangentPoint):
     # frame parts: dJ_f = [[0, g^-1 dg g^-1], [dg, 0]], dG_f = blockdiag(dg, -g^-1 dg g^-1)
     ginv = np.linalg.inv(fr.g_real)
     dginv = ginv @ dg @ ginv
-    dj_f = np.zeros((n4, n4, n4))
-    dj_f[:n2, :n2, n2:] = dginv
-    dj_f[:n2, n2:, :n2] = dg
-    dgtm_f = np.zeros((n4, n4, n4))
-    dgtm_f[:n2, :n2, :n2] = dg
-    dgtm_f[:n2, n2:, n2:] = -dginv
+    along_alpha = np.zeros((n2, n4, n4))
+    dj_f = np.concatenate([geometry._offdiag(dginv, dg), along_alpha])
+    dgtm_f = np.concatenate([geometry._blockdiag(dg, -dginv), along_alpha])
     d_i = ds @ fr.imat - fr.imat @ ds
     d_j = ds @ fr.jmat - fr.jmat @ ds + fr.s @ dj_f @ fr.s_inv
     d_k = d_i @ fr.jmat + fr.imat @ d_j

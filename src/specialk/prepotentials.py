@@ -9,6 +9,7 @@ the finite-difference consistency tests actually test something.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import re as _re
@@ -26,9 +27,12 @@ __all__ = [
     "catalog",
     "get_entry",
     "parse_entry",
-    "eval_tau",
-    "magnetic_coords",
 ]
+
+
+# largest n of the quadratic entry: verify costs about (2n)^6 per point,
+# seconds at n = 12, so a larger n is refused before anything is built
+_QUADRATIC_MAX_N = 12
 
 
 class DomainError(ValueError):
@@ -86,16 +90,18 @@ class Quadratic(Prepotential):
     """
 
     def __init__(self, n: int = 1, tau0=None):
-        if not isinstance(n, numbers.Integral) or n < 1:
-            raise ValueError(f"quadratic: n must be a positive integer, got {n!r}")
+        if not isinstance(n, numbers.Integral) or not 1 <= n <= _QUADRATIC_MAX_N:
+            raise ValueError(
+                f"quadratic: n must be an integer from 1 to {_QUADRATIC_MAX_N}, got {n!r}")
         self.n = int(n)
         if tau0 is None:
             tau0 = 1j * np.eye(self.n)
         tau0 = np.asarray(tau0, dtype=complex)
         if tau0.shape != (self.n, self.n):
             raise ValueError("tau0 shape mismatch")
-        if not np.allclose(tau0, tau0.T):
-            raise ValueError("tau0 must be symmetric")
+        # every geometry call holds tau to exact symmetry
+        if not np.array_equal(tau0, tau0.T):
+            raise ValueError("tau0 must be exactly symmetric")
         evals = np.linalg.eigvalsh(tau0.imag)
         if np.min(evals) <= 0:
             raise ValueError("Im tau0 must be positive definite")
@@ -168,8 +174,8 @@ class SWLog(Prepotential):
 
     def __init__(self, lam: complex = 1.0):
         lam = complex(lam)
-        if lam == 0:
-            raise ValueError("lambda must be nonzero")
+        if lam == 0 or not cmath.isfinite(lam):
+            raise ValueError(f"swlog: lambda must be finite and nonzero, got {lam}")
         self.lam = lam
         self.name = "swlog"
         r = abs(lam)
@@ -197,7 +203,8 @@ class SWLog(Prepotential):
 
     def in_domain(self, z) -> bool:
         w = self.as_point(z)[0] / self.lam
-        if w.imag == 0.0 and w.real <= 0.0:
+        # z / lambda overflows for a tiny lambda, and tau is NaN there
+        if not np.isfinite(w) or (w.imag == 0.0 and w.real <= 0.0):
             return False
         return abs(w) > math.exp(-1.5)
 
@@ -285,22 +292,6 @@ def get_entry(name: str) -> CatalogEntry:
         if entry.name == name:
             return entry
     raise KeyError(f"unknown catalog entry {name!r}")
-
-
-def eval_tau(prep: Prepotential, z):
-    """Coupling matrix tau = d^2 F / dz^2 at a domain point (symmetric by
-    the provider contract)."""
-    prep.require_domain(z)
-    tau = np.asarray(prep.hess(z), dtype=complex)
-    if not np.array_equal(tau, tau.T):
-        raise ValueError(f"{prep.name}: provider returned non-symmetric tau")
-    return tau
-
-
-def magnetic_coords(prep: Prepotential, z):
-    """Dual coordinates w = dF/dz at a domain point."""
-    prep.require_domain(z)
-    return np.asarray(prep.grad(z), dtype=complex)
 
 
 _SPEC_RE = _re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*(?:\((.*)\))?\s*$")

@@ -119,6 +119,9 @@ class TestVerify:
             ["verify", "--entry", "cubic(x=1)"],
             ["verify", "--entry", "quadratic(n=2,n=3)"],
             ["verify", "--entry", "swlog(lambda=1,lam=2)"],
+            ["verify", "--entry", "swlog(lambda=nan)"],
+            ["verify", "--entry", "swlog(lambda=inf)"],
+            ["verify", "--entry", "quadratic(n=13)"],
         ],
         ids=lambda a: " ".join(a),
     )
@@ -152,6 +155,19 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: shrink step or move point")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "sweep", [["verify"], ["hk", "check"], ["twistor", "normal-bundle"]],
+        ids=" ".join,
+    )
+    def test_overflowing_lambda_is_a_sampling_failure(self, sweep, capsys):
+        """Below lambda ~ 1e-308, z / lambda overflows on the whole sample
+        box, so no point is in the domain: one line and exit 3, not a
+        traceback from the NaN tau."""
+        assert run([*sweep, "--entry", "swlog(lambda=1e-310)", "--points", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: swlog: found only 0/2 points in 1000 draws\n"
 
     def test_non_finite_residual_prints_null_and_fails(self, capsys):
         """swlog's sample box scales with lambda, and near 1e-300 the

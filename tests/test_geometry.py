@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specialk import geometry as geo
+from specialk import hyperkahler as hk
 from specialk.fd import jacobian, jacobian4
 from specialk.prepotentials import Coupled, Cubic, Quadratic, SWLog
 
@@ -418,3 +419,39 @@ class TestPointData:
         for prep in ENTRIES:
             z = entry_points(prep, 1, seed=27)[0]
             assert geo.vhs_holomorphy_residual(prep, z) < 1e-10
+
+
+JET_METHODS = ("hess", "third", "fourth", "grad", "in_domain")
+ONE_READ_CALLS = {
+    "check_equations": lambda prep, z, pt: geo.check_equations(prep, z),
+    "check_special_conditions": lambda prep, z, pt: geo.check_special_conditions(prep, z),
+    "flat_omega_residual": lambda prep, z, pt: geo.flat_omega_residual(prep, z),
+    "flat_structure_certificate": lambda prep, z, pt: geo.flat_structure_certificate(prep, z),
+    "higgs_at": lambda prep, z, pt: geo.higgs_at(prep, z),
+    "point_data": lambda prep, z, pt: geo.point_data(prep, z),
+    "tangent_split_at": lambda prep, z, pt: hk.tangent_split_at(prep, pt),
+    "structure_derivative_stacks": lambda prep, z, pt: hk.structure_derivative_stacks(prep, pt),
+    "correspondence_check": lambda prep, z, pt: hk.correspondence_check(prep, pt),
+}
+
+
+@pytest.mark.parametrize("call", sorted(ONE_READ_CALLS))
+@pytest.mark.parametrize("cls", [Cubic, SWLog], ids=lambda c: c.__name__)
+def test_one_call_reads_each_jet_order_once(cls, call, monkeypatch):
+    """Every float quantity is a function of the holomorphic jet (tau, C,
+    d^4 F) and of w, so one public call reads each of them, and checks the
+    domain, at most once."""
+    prep = cls()
+    z = entry_points(prep, 1, seed=7)[0]
+    pt = hk.sample_cotangent_points(prep, 1, seed=7)[0]
+    counts = dict.fromkeys(JET_METHODS, 0)
+    for name in JET_METHODS:
+        method = getattr(cls, name)
+
+        def counted(self, zz, _name=name, _method=method):
+            counts[_name] += 1
+            return _method(self, zz)
+
+        monkeypatch.setattr(cls, name, counted)
+    ONE_READ_CALLS[call](prep, z, pt)
+    assert max(counts.values()) == 1, counts

@@ -14,9 +14,7 @@ from specialk.prepotentials import (
     Quadratic,
     SWLog,
     catalog,
-    eval_tau,
     get_entry,
-    magnetic_coords,
     parse_entry,
 )
 
@@ -134,6 +132,20 @@ class TestDomains:
         assert not prep.in_domain([0.1 + 0.1j])        # inside e^{-3/2}
         assert prep.in_domain([1.0 + 0.0j])
 
+    def test_swlog_excludes_overflowed_ratio(self):
+        """Below lambda ~ 1e-308, 1 / lambda and so z / lambda overflow and
+        tau is NaN; such points are outside the domain, not on it."""
+        with np.errstate(all="ignore"):
+            prep = SWLog(lam=1e-310)
+            assert not np.isfinite(np.asarray([1e-310 + 0.5e-310j]) / prep.lam)[0]
+            assert not prep.in_domain([1e-310 + 0.5e-310j])
+            assert SWLog(lam=1e-308).in_domain([1e-308 + 0.5e-308j])
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+    def test_swlog_rejects_non_finite_lambda(self, lam):
+        with pytest.raises(ValueError, match="swlog"):
+            SWLog(lam=lam)
+
     def test_swlog_metric_positive_on_domain(self):
         prep = SWLog(lam=1.0)
         r = math.exp(-1.5)
@@ -144,18 +156,6 @@ class TestDomains:
         prep = Coupled()
         assert prep.in_domain([0.5j, 0.0j])
         assert not prep.in_domain([-0.6j, 0.0j])
-
-
-class TestOperationSurface:
-    def test_eval_tau_checks_domain(self):
-        assert eval_tau(Cubic(), [1j])[0, 0] == pytest.approx(6j)
-        with pytest.raises(DomainError):
-            eval_tau(Cubic(), [-1j])
-
-    def test_magnetic_coords_checks_domain(self):
-        assert magnetic_coords(Quadratic(), [2.0 + 0.0j])[0] == pytest.approx(2j)
-        with pytest.raises(DomainError):
-            magnetic_coords(SWLog(), [-1.0 + 0.0j])
 
 
 class TestParser:
@@ -178,3 +178,23 @@ class TestParser:
                     "quadratic(n=2,n=3)", "swlog(lambda=1,lam=2)"):
             with pytest.raises((KeyError, ValueError)):
                 parse_entry(bad)
+
+    def test_quadratic_dimension_cap(self):
+        """n is capped where verify's cost, about (2n)^6 per point, stops
+        being desk scale; the cap is checked before anything is built."""
+        assert parse_entry("quadratic(n=12)").n == 12
+        with pytest.raises(ValueError, match="quadratic: n must be an integer from 1 to 12"):
+            parse_entry("quadratic(n=13)")
+
+
+class TestQuadraticTau0:
+    def test_symmetric_tau0_accepted(self):
+        tau0 = [[1j, 0.1], [0.1, 1j]]
+        md = geometry.metric_at(Quadratic(n=2, tau0=tau0), [0j, 0j])
+        assert np.array_equal(md.imtau, np.eye(2))
+
+    def test_nearly_symmetric_tau0_rejected(self):
+        """Every geometry call needs tau exactly symmetric, so a tau0 that
+        is only close to symmetric is refused when the entry is built."""
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            Quadratic(n=2, tau0=[[1j, 0.1], [0.1 + 1e-12, 1j]])
