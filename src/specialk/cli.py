@@ -3,8 +3,9 @@ computations and hyperkahler/twistor suites, all emitting deterministic
 JSON reports.
 
 Exit codes: 0 all checks passed, 1 check failure, 2 usage error
-(unknown entry, malformed JSON, bad flags), 3 sampling or stencil
-failure, 4 data error (inconsistent filtration input).
+(unknown entry, malformed JSON, bad flags, an --out that cannot be
+written), 3 sampling or stencil failure, 4 data error (inconsistent
+filtration input).
 """
 
 from __future__ import annotations
@@ -29,13 +30,20 @@ EXIT_SAMPLING = 3
 EXIT_DATA = 4
 
 
-def _emit(report, out_path):
-    text = stable_json(report)
-    if out_path:
+def _emit(report, out_path, code):
+    """Print the report, or write it to out_path; returns code, or the
+    usage-error code with one stderr line when out_path cannot be written."""
+    text = stable_json(report) + "\n"
+    if not out_path:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        print("error: cannot write --out: " + " ".join(str(exc).split()), file=sys.stderr)
+        return EXIT_USAGE
+    return code
 
 
 def _point_json(z):
@@ -79,8 +87,7 @@ def _sweep(args, command, sampler, sample_at, header=None):
         "samples": samples,
         "summary": summary,
     }
-    _emit(report, args.out)
-    return EXIT_PASS if summary["pass"] else EXIT_FAIL
+    return _emit(report, args.out, EXIT_PASS if summary["pass"] else EXIT_FAIL)
 
 
 def _verify_at(prep, z, args):
@@ -171,11 +178,9 @@ def cmd_rees(args) -> int:
         report["pure"] = pure
         report["semistable"] = semi
         report["agree"] = pure == semi
-        _emit(report, args.out)
-        return EXIT_PASS if report["agree"] else EXIT_FAIL
+        return _emit(report, args.out, EXIT_PASS if report["agree"] else EXIT_FAIL)
     report["config"] = {"command": "rees split"}
-    _emit(report, args.out)
-    return EXIT_PASS
+    return _emit(report, args.out, EXIT_PASS)
 
 
 def _hk_check(prep, pt, args):
@@ -260,8 +265,7 @@ def cmd_catalog(args) -> int:
             {"name": e.name, "description": e.description} for e in catalog()
         ],
     }
-    _emit(report, getattr(args, "out", None))
-    return EXIT_PASS
+    return _emit(report, getattr(args, "out", None), EXIT_PASS)
 
 
 def _point_count(text):

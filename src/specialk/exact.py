@@ -330,9 +330,10 @@ def _bareiss(rows):
 
 class ExactMatrix:
     """Dense matrix over the Gaussian rationals, stored as one canonical
-    kernel row per matrix row."""
+    kernel row per matrix row.  An inverse, once computed, is kept on both
+    matrices, so inverting either of them again costs nothing."""
 
-    __slots__ = ("_rows", "rows", "cols")
+    __slots__ = ("_rows", "rows", "cols", "_inverse")
 
     def __init__(self, entries):
         vecs = [_coerce_vec(r) for r in entries]
@@ -344,6 +345,7 @@ class ExactMatrix:
         object.__setattr__(self, "_rows", tuple(_vec_to_row(v) for v in vecs))
         object.__setattr__(self, "rows", len(vecs))
         object.__setattr__(self, "cols", ncols)
+        object.__setattr__(self, "_inverse", None)
 
     @classmethod
     def _from_rows(cls, rows, cols):
@@ -352,6 +354,7 @@ class ExactMatrix:
         object.__setattr__(m, "_rows", rows)
         object.__setattr__(m, "rows", len(rows))
         object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "_inverse", None)
         return m
 
     def __setattr__(self, name, value):
@@ -500,6 +503,8 @@ class ExactMatrix:
         return len(pivots)
 
     def inverse(self) -> "ExactMatrix":
+        if self._inverse is not None:
+            return self._inverse
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
@@ -512,7 +517,10 @@ class ExactMatrix:
         if pivots[:n] != list(range(n)) or len(pivots) < n:
             raise ZeroDivisionError("matrix is singular")
         # [I | A^-1]: the left half is a unit row, so the right half is canonical
-        return ExactMatrix._from_rows(tuple((r[0], *r[1 + 2 * n :]) for r in red), n)
+        inv = ExactMatrix._from_rows(tuple((r[0], *r[1 + 2 * n :]) for r in red), n)
+        object.__setattr__(self, "_inverse", inv)
+        object.__setattr__(inv, "_inverse", self)
+        return inv
 
     def det(self) -> ExactComplex:
         if self.rows != self.cols:

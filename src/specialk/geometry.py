@@ -567,8 +567,13 @@ def kahler_potential_residual(prep: Prepotential, z, h: float = POTENTIAL_STEP) 
 def vhs_holomorphy_residual(prep: Prepotential, z) -> float:
     """Sup of the (0,1)-component of nabla_{Ybar} X over the constant
     holomorphic coordinate frames (the holomorphic-subbundle condition)."""
-    gamma = flat_connection_at(prep, z).astype(complex)
-    n = prep.n
+    return _holomorphy_residual(flat_connection_at(prep, z))
+
+
+def _holomorphy_residual(gamma) -> float:
+    """vhs_holomorphy_residual from the flat connection's Christoffels."""
+    gamma = gamma.astype(complex)
+    n = gamma.shape[-1] // 2
     frame = holomorphic_frame(n)
     _, p01 = type_projectors(n)
     vals = np.einsum("kab,aJ,bj->kJj", gamma, np.conj(frame), frame)

@@ -358,7 +358,9 @@ def check_polarization(h: HodgeStructure, q: Polarization) -> PolarizationReport
 
 class QuaternionicStructure:
     """A pair (I, J) of real-linear endomorphisms with I^2 = J^2 = -1 and
-    IJ = -JI, both as exact real matrices."""
+    IJ = -JI, both as exact real matrices.  The constructor keeps the
+    product IJ it forms for that check as K, so treat the pair as
+    read-only."""
 
     def __init__(self, imat: ExactMatrix, jmat: ExactMatrix):
         if imat.shape != jmat.shape or imat.rows != imat.cols:
@@ -368,15 +370,17 @@ class QuaternionicStructure:
         neg_ident = -ExactMatrix.identity(imat.rows)
         if imat @ imat != neg_ident or jmat @ jmat != neg_ident:
             raise ValueError("I^2 = J^2 = -1 fails")
-        if imat @ jmat != (-(jmat @ imat)):
+        kmat = imat @ jmat
+        if kmat != (-(jmat @ imat)):
             raise ValueError("IJ = -JI fails")
         self.imat = imat
         self.jmat = jmat
         self.real_dim = imat.rows
+        self._kmat = kmat
 
     @property
     def kmat(self) -> ExactMatrix:
-        return self.imat @ self.jmat
+        return self._kmat
 
     def __eq__(self, other):
         if not isinstance(other, QuaternionicStructure):
@@ -386,9 +390,18 @@ class QuaternionicStructure:
 
 def quaternionic_from_hodge(h: HodgeStructure) -> QuaternionicStructure:
     """J(v, w) = (-r(w), r(v)) on V = V^{1,0} (+) V^{0,1}, as a real
-    matrix: J = r o (P' - P'')."""
+    matrix: J = r o (P' - P'').  For the model structure of
+    hodge_from_quaternionic, which depends on its size only, the pair is
+    built once per size and shared (treat it as read-only)."""
     if h.weight != 1:
         raise ValueError("quaternionic correspondence needs weight 1")
+    k, odd = divmod(h.ambient_dim, 2)
+    if not odd and h is _chart_hodge_structure(k):
+        return _chart_quaternionic_structure(k)
+    return _quaternionic_from_hodge(h)
+
+
+def _quaternionic_from_hodge(h: HodgeStructure) -> QuaternionicStructure:
     vp = h.component(1, 0)
     vpp = h.component(0, 1)
     m = h.ambient_dim
@@ -412,7 +425,9 @@ class QuaternionicChart:
 
     def recovered_structure(self) -> QuaternionicStructure:
         """Pull the model structure back through the chart; equals the
-        source pair exactly when everything is consistent."""
+        source pair exactly when everything is consistent.  The chart of
+        hodge_from_quaternionic keeps the matrix it inverts, so its inverse
+        costs no elimination."""
         model = quaternionic_from_hodge(self.hodge)
         inv = self.chart.inverse()
         return QuaternionicStructure(
@@ -470,6 +485,14 @@ def _chart_hodge_structure(k: int) -> HodgeStructure:
 
 
 @lru_cache(maxsize=None)
+def _chart_quaternionic_structure(k: int) -> QuaternionicStructure:
+    """quaternionic_from_hodge of the model structure _chart_hodge_structure(k),
+    validated by the QuaternionicStructure constructor when it is built;
+    shared like the model (treat it as read-only)."""
+    return _quaternionic_from_hodge(_chart_hodge_structure(k))
+
+
+@lru_cache(maxsize=None)
 def tangent_hodge_structure(n: int) -> HodgeStructure:
     """The weight-1 structure on the complexified tangent space C^{2n}
     whose (1,0) part is spanned by the holomorphic frame e_j + i e_{n+j}
@@ -495,12 +518,13 @@ def vhs_from_special_kahler(prep, points, tol: float = 1e-5,
     the report), plus the holomorphic-subbundle residual.
 
     Only the polarization depends on the point; the Hodge structure is
-    tangent_hodge_structure(n)."""
+    tangent_hodge_structure(n).  Each point reads tau and C once, with the
+    checks of metric_at and then those of vhs_holomorphy_residual."""
     reports = []
     for z in points:
         z = prep.as_point(z)
-        md = geometry.metric_at(prep, z)
-        hol = geometry.vhs_holomorphy_residual(prep, z)
+        _, md, jac = geometry._checked(prep, z, metric_first=True)
+        hol = geometry._holomorphy_residual(geometry._flat_jet(jac, prep.third(z))[0])
         q_exact, err_q = rationalize_matrix(-md.omega.astype(complex), max_denominator)
         pure = True
         pol = None

@@ -83,6 +83,7 @@ class HyperkahlerFrame:
     kmat: np.ndarray
     gtm: np.ndarray        # induced metric, coordinate basis
     g_real: np.ndarray     # base metric at the projection
+    g_inv: np.ndarray      # its inverse
 
 
 def _frame_blocks(prep: Prepotential, pt: CotangentPoint, jet: bool = False):
@@ -125,6 +126,7 @@ def _tangent_split(pt: CotangentPoint, md, s, s_inv) -> HyperkahlerFrame:
         kmat=imat @ jmat,
         gtm=s_inv.T @ geometry._blockdiag(g, ginv) @ s_inv,
         g_real=g,
+        g_inv=ginv,
     )
 
 
@@ -182,8 +184,7 @@ def _frame_jet(prep: Prepotential, pt: CotangentPoint):
     ds[:n2, n2:, :n2] = np.einsum("dcab,c->dab", dgamma, pt.alpha)
     ds[n2:, n2:, :n2] = gamma
     # frame parts: dJ_f = [[0, g^-1 dg g^-1], [dg, 0]], dG_f = blockdiag(dg, -g^-1 dg g^-1)
-    ginv = np.linalg.inv(fr.g_real)
-    dginv = ginv @ dg @ ginv
+    dginv = fr.g_inv @ dg @ fr.g_inv
     along_alpha = np.zeros((n2, n4, n4))
     dj_f = np.concatenate([geometry._offdiag(dginv, dg), along_alpha])
     dgtm_f = np.concatenate([geometry._blockdiag(dg, -dginv), along_alpha])
@@ -316,8 +317,7 @@ def correspondence_check(prep: Prepotential, pt: CotangentPoint) -> float:
     # identification chi: T(T*M) -> complexified tangent space
     p10, p01 = geometry.type_projectors(n)
     try:
-        ginv = np.linalg.inv(fr.g_real)
-        chi_frame = np.hstack([p10, p01 @ ginv])
+        chi_frame = np.hstack([p10, p01 @ fr.g_inv])
         chi = chi_frame @ fr.s_inv
         chi_real = np.vstack([chi.real, chi.imag])
         j_via_hodge = np.linalg.inv(chi_real) @ j_hodge @ chi_real

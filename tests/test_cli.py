@@ -403,6 +403,27 @@ class TestHyperkahler:
 
 
 class TestReportFormat:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["catalog"],
+            ["verify", "--entry", "cubic", "--points", "2"],
+            ["hk", "check", "--entry", "cubic", "--points", "1"],
+            ["twistor", "normal-bundle", "--entry", "cubic", "--points", "1"],
+            ["rees", "split", str(FIXTURES / "rees_conjugate.json")],
+            ["rees", "purity", "--weight", "1", str(FIXTURES / "rees_conjugate.json")],
+        ],
+        ids=lambda a: " ".join(a[:2]),
+    )
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out_is_one_line_usage_error(self, argv, target, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path
+        assert run(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: cannot write --out: ")
+
     def test_floats_17_digits_and_sorted_keys(self, tmp_path):
         out = tmp_path / "r.json"
         run(["verify", "--entry", "cubic", "--points", "2", "--seed", "3",

@@ -6,6 +6,7 @@ import pytest
 from specialk import geometry as geo
 from specialk import hyperkahler as hk
 from specialk.fd import jacobian, jacobian4
+from specialk.hodge import vhs_from_special_kahler
 from specialk.prepotentials import Coupled, Cubic, Quadratic, SWLog
 
 ENTRIES = [Quadratic(), Cubic(), SWLog(), Coupled()]
@@ -432,6 +433,7 @@ ONE_READ_CALLS = {
     "tangent_split_at": lambda prep, z, pt: hk.tangent_split_at(prep, pt),
     "structure_derivative_stacks": lambda prep, z, pt: hk.structure_derivative_stacks(prep, pt),
     "correspondence_check": lambda prep, z, pt: hk.correspondence_check(prep, pt),
+    "vhs_from_special_kahler": lambda prep, z, pt: vhs_from_special_kahler(prep, [z]),
 }
 
 

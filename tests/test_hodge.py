@@ -1,16 +1,22 @@
 """Hodge structures, polarizations, the quaternionic correspondence and
 the pointwise special Kahler variation."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from randgen import (
     matrix,
     polarized_weight1,
+    properties,
     quaternionic_pair,
     standard_quaternionic,
     weight1_structure,
 )
+from specialk import _kernel
 from specialk.exact import ExactComplex, ExactMatrix, Subspace, std_complex_structure
 from specialk.hodge import (
     Filtration,
@@ -336,6 +342,87 @@ class TestHodgeFromQuaternionic:
             QuaternionicStructure(ident, ident)
 
 
+class TestReuse:
+    """Results the round trips reuse instead of recomputing: the inverse
+    pair, the model pair and K = IJ, each equal to a fresh computation,
+    and a public constructor that still checks everything it is given."""
+
+    @properties
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3)),
+                         min_size=n, max_size=n),
+                min_size=n, max_size=n,
+            )
+        )
+    )
+    def test_inverse_of_inverse_is_the_matrix(self, raw):
+        m = ExactMatrix([[ExactComplex(Fraction(a, d), b) for a, b, d in row] for row in raw])
+        assume(m.rank() == m.rows)
+        inv = m.inverse()
+        assert inv.inverse() == m
+        assert m.inverse() is inv
+        # a copy of the inverse has no partner yet, so this eliminates
+        assert ExactMatrix(inv.entries).inverse() == m
+        assert m @ inv == ExactMatrix.identity(m.rows)
+
+    @properties
+    @given(st.integers(1, 3))
+    def test_cached_model_pair_equals_fresh_one(self, k):
+        model = _chart_hodge_structure(k)
+        ident = ExactMatrix.identity(2 * k)
+        zero, one = ExactMatrix.zeros(k, k), ExactMatrix.identity(k)
+        fresh = HodgeStructure(
+            1,
+            {(1, 0): Subspace.row_space(ident[:k, :]), (0, 1): Subspace.row_space(ident[k:, :])},
+            RealStructure.from_antilinear(ExactMatrix.blocks([[zero, one], [one, zero]])),
+        )
+        assert fresh is not model
+        cached = quaternionic_from_hodge(model)
+        assert quaternionic_from_hodge(model) is cached
+        built = quaternionic_from_hodge(fresh)
+        assert built is not cached
+        assert (built.imat, built.jmat, built.kmat) == (cached.imat, cached.jmat, cached.kmat)
+
+    def test_round_trip_eliminates_nothing_twice(self, monkeypatch):
+        """Once the model pair of its size exists, pulling it back through
+        a chart inverts nothing, and K costs no product."""
+        qs = quaternionic_pair(XorShift(5), 8)
+        chart = hodge_from_quaternionic(qs)
+        quaternionic_from_hodge(chart.hodge)
+        calls = []
+        for name in ("rref", "matmul"):
+            kernel_fn = getattr(_kernel, name)
+
+            def counted(*args, _name=name, _fn=kernel_fn):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(_kernel, name, counted)
+        kmat = qs.kmat
+        quaternionic_from_hodge(chart.hodge)
+        assert calls == []
+        recovered = chart.recovered_structure()
+        assert "rref" not in calls
+        assert recovered == qs and recovered.kmat == kmat
+
+    @properties
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([4, 8]))
+    def test_constructor_checks_every_pair(self, seed, n4):
+        qs = quaternionic_pair(XorShift(seed), n4)
+        assert qs.kmat == qs.imat @ qs.jmat
+        assert QuaternionicStructure(qs.imat, qs.jmat) == qs
+        with pytest.raises(ValueError, match="I\\^2 = J\\^2 = -1 fails"):
+            QuaternionicStructure(qs.imat.scale(2), qs.jmat)
+        with pytest.raises(ValueError, match="I\\^2 = J\\^2 = -1 fails"):
+            QuaternionicStructure(qs.imat, qs.jmat + qs.imat)
+        with pytest.raises(ValueError, match="IJ = -JI fails"):
+            QuaternionicStructure(qs.imat, qs.imat)
+        with pytest.raises(ValueError, match="IJ = -JI fails"):
+            QuaternionicStructure(qs.jmat, -qs.jmat)
+
+
 class TestVHS:
     def test_quadratic_exact(self):
         reps = vhs_from_special_kahler(Quadratic(), [np.array([0.5 + 0.5j])])
@@ -355,6 +442,27 @@ class TestVHS:
             assert rep["pure_weight_1"]
             assert rep["polarization_pass"]
             assert rep["polarization_sign"] == "Q=-omega"
+
+    def test_one_jet_read_per_point(self, monkeypatch):
+        """tau, C and the domain are read once per point, and the residual
+        is the one vhs_holomorphy_residual gives."""
+        from specialk import geometry
+
+        prep = Cubic()
+        pts = geometry.sample_points(prep, 3, seed=1)
+        expect = [geometry.vhs_holomorphy_residual(prep, z) for z in pts]
+        counts = {"hess": 0, "third": 0, "in_domain": 0}
+        for name in counts:
+            method = getattr(Cubic, name)
+
+            def counted(self, z, _name=name, _method=method):
+                counts[_name] += 1
+                return _method(self, z)
+
+            monkeypatch.setattr(Cubic, name, counted)
+        reps = vhs_from_special_kahler(prep, pts)
+        assert counts == {"hess": 3, "third": 3, "in_domain": 3}
+        assert [r["holomorphy_residual"] for r in reps] == expect
 
 
 class TestTangentHodgeStructure:

@@ -53,6 +53,26 @@ class TestTangentSplit:
         for s in (fr.imat, fr.jmat, fr.kmat):
             assert np.max(np.abs(s.T @ fr.gtm @ s - fr.gtm)) < 1e-9
 
+    @pytest.mark.parametrize("call", [hk.structure_derivative_stacks, hk.correspondence_check],
+                             ids=lambda f: f.__name__)
+    def test_one_metric_inverse_per_point(self, call, monkeypatch):
+        """The frame keeps g^-1; the derivative stacks and the
+        correspondence check use it instead of inverting g again."""
+        prep = Coupled()
+        pt = pt_for(prep)
+        fr = hk.tangent_split_at(prep, pt)
+        assert np.array_equal(fr.g_inv, np.linalg.inv(fr.g_real))
+        inv = np.linalg.inv
+        of_g = []
+
+        def counted(a):
+            of_g.append(np.array_equal(a, fr.g_real))
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        call(prep, pt)
+        assert sum(of_g) == 1
+
 
 class TestResiduals:
     """On the flat model frame (quadratic, alpha = 0) every matrix has

@@ -2,7 +2,9 @@
 and by derandomized property tests."""
 
 from fractions import Fraction
+from math import gcd
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -97,8 +99,15 @@ def test_matmul_matches_fraction_reference(data):
     m = data.draw(st.integers(1, 4))
     a = data.draw(kernel_rows(n, k))
     b = data.draw(kernel_rows(k, m))
+    out = _kernel.matmul(a, b, m)
+    assert all(r[0] > 0 for r in out)
+    assert entries(out) == fraction_product(a, b, m)
+
+
+def fraction_product(a, b, m):
+    """Entrywise (re, im) Fractions of the product of kernel rows a and b."""
     cols = [[row[j] for row in entries(b)] for j in range(m)]
-    expect = [
+    return [
         [
             (
                 sum((x[0] * y[0] - x[1] * y[1] for x, y in zip(row, col)), Fraction(0)),
@@ -108,9 +117,114 @@ def test_matmul_matches_fraction_reference(data):
         ]
         for row in entries(a)
     ]
+
+
+def lcm_den(rows):
+    out = 1
+    for r in rows:
+        out = out * r[0] // gcd(out, r[0])
+    return out
+
+
+@st.composite
+def wide_rows(draw, nrows, ncols, kinds):
+    """Rows of the given kinds: zero, dense real, sparse real (mostly zero
+    entries) or complex; entries up to `bits` bits, negative ones too."""
+    bits = draw(st.sampled_from([2, 40, 520]))
+    big = 2**bits
+    # plain integers shrink towards 0, so draw the extremes on purpose too
+    entry = st.one_of(st.integers(-big, big), st.sampled_from([-big, big - 1]))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(kinds))
+        den = draw(st.sampled_from([1, 2, 6, big + 1]))
+        if kind == "zero":
+            re = [0] * ncols
+        elif kind == "sparse":
+            re = draw(st.lists(st.one_of(st.just(0), st.just(0), entry),
+                               min_size=ncols, max_size=ncols))
+        else:
+            re = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        im = [0] * ncols
+        if kind == "complex":
+            im = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        rows.append([den] + [v for pair in zip(re, im) for v in pair])
+    return rows
+
+
+REAL_KINDS = ["zero", "real", "sparse"]
+
+
+@properties
+@given(st.data())
+def test_packed_and_loop_products_agree(data):
+    """On real factors the packed product gives the loop's rows exactly,
+    and matmul takes it from 8 columns on; anything else is the loop's."""
+    n = data.draw(st.integers(0, 5))
+    k = data.draw(st.integers(0, 5))
+    m = data.draw(st.integers(1, 12))
+    kinds = data.draw(st.sampled_from([REAL_KINDS, REAL_KINDS + ["complex"], ["complex"]]))
+    a = data.draw(wide_rows(n, k, kinds))
+    b = data.draw(wide_rows(k, m, kinds))
     out = _kernel.matmul(a, b, m)
+    assert entries(out) == fraction_product(a, b, m)
     assert all(r[0] > 0 for r in out)
-    assert entries(out) == expect
+    if k == 0:
+        return
+    loop = _kernel._matmul_loop(a, b, m, lcm_den(b))
+    assert out == loop
+    if _kernel._is_real(a) and _kernel._is_real(b):
+        assert _kernel._matmul_packed(a, b, m, lcm_den(b)) == loop
+
+
+@pytest.mark.parametrize("bits", [0, 3, 600])
+def test_packed_product_edge_rows(bits):
+    """Zero rows of A, an all-zero A, a zero B and wide entries."""
+    big = 2**bits
+    b = [[3] + [v for j in range(9) for v in ((-1) ** j * (big - j), 0)] for _ in range(4)]
+    for a in (
+        [[1] + [0] * 8, [5, big, 0, -big, 0, 0, 0, 1, 0]],
+        [[2] + [0] * 8] * 3,
+    ):
+        assert _kernel.matmul(a, b, 9) == _kernel._matmul_loop(a, b, 9, 3)
+        assert entries(_kernel.matmul(a, b, 9)) == fraction_product(a, b, 9)
+    zero_b = [[1] + [0] * 18] * 4
+    a = [[1, 1, 0, 2, 0, 3, 0, 4, 0]]
+    assert _kernel.matmul(a, zero_b, 9) == [[1] + [0] * 18]
+
+
+@pytest.mark.parametrize("bits", [1, 3, 64, 600])
+@pytest.mark.parametrize("inner", [1, 3, 7, 8])
+def test_packed_slots_hold_the_largest_sums(bits, inner):
+    """Every entry at the top of its bit length and of one sign: each
+    numerator is inner (2^bits - 1)^2, as close to the slot width as
+    entries of that length get; the negated A gives the most negative."""
+    top = 2**bits - 1
+    b = [[1] + [top, 0] * 8] * inner
+    for sign in (1, -1):
+        a = [[1] + [sign * top, 0] * inner] * 2
+        out = _kernel.matmul(a, b, 8)
+        assert out == _kernel._matmul_loop(a, b, 8, 1)
+        assert out[0][1] == sign * inner * top * top
+
+
+def test_packed_path_is_taken_for_wide_real_products_only(monkeypatch):
+    taken = []
+    packed = _kernel._matmul_packed
+
+    def counted(a_rows, b_rows, b_cols, lcm_b):
+        taken.append(b_cols)
+        return packed(a_rows, b_rows, b_cols, lcm_b)
+
+    monkeypatch.setattr(_kernel, "_matmul_packed", counted)
+    real8 = [[1] + [v for j in range(8) for v in (j - 3, 0)]] * 2
+    complex8 = [[1] + [v for j in range(8) for v in (j - 3, 1)]] * 2
+    real7 = [[1] + [v for j in range(7) for v in (j, 0)]] * 2
+    _kernel.matmul([[1, 1, 0, 2, 0]], real8, 8)     # packed
+    _kernel.matmul([[1, 1, 0, 2, 1]], real8, 8)     # complex A
+    _kernel.matmul([[1, 1, 0, 2, 0]], complex8, 8)  # complex B
+    _kernel.matmul([[1, 1, 0, 2, 0]], real7, 7)     # narrow
+    assert taken == [8]
 
 
 def vectors(n):
