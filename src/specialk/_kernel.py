@@ -9,6 +9,15 @@ encoding the entries (a_j + b_j*i) / den with den > 0.  All arithmetic is
 integer arithmetic on a common row denominator; fractions are only formed
 by the callers when converting back to entry objects.
 
+rref has two paths, chosen from the rows alone.  When every imaginary
+numerator is 0 it eliminates on the real integer numerators at half
+width, dropping each row's den (which does not change the row's span),
+by fraction-free Gauss-Jordan steps (Bareiss 1968): every entry stays a
+minor of the numerator matrix, so each division by the previous pivot
+is exact, and each pivot row is divided by its pivot once at the end.
+Any other input runs the loop over Q(i), which divides each pivot row
+by its leading entry.  Both paths give the same canonical rows and pivots.
+
 matmul has two paths, chosen from the operands alone.  A product with at
 least _PACK_COLS columns whose two factors are both real packs each row
 of B into one int of fixed-width bit slots (Kronecker substitution), so
@@ -23,16 +32,11 @@ __all__ = ["rref", "matmul"]
 
 
 def _reduce_row(row):
-    """Divide den and all numerators by their common gcd (in place)."""
-    g = row[0]
-    for v in row[1:]:
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return row
+    """Divide den and all numerators by their common gcd; returns the row
+    itself when that gcd is 1."""
+    g = gcd(*row)
     if g > 1:
-        for k in range(len(row)):
-            row[k] //= g
+        return [v // g for v in row]
     return row
 
 
@@ -43,6 +47,14 @@ def rref(rows, ncols):
     entries are exactly 1 and rows are content-reduced, so the output is a
     canonical representative of the row space.
     """
+    if _is_real(rows):
+        return _rref_real(rows, ncols)
+    return _rref_loop(rows, ncols)
+
+
+def _rref_loop(rows, ncols):
+    """rref over Q(i): each pivot row is divided by its leading entry and
+    content-reduced after every update."""
     work = [list(r) for r in rows]
     nrows = len(work)
     pivots = []
@@ -96,6 +108,54 @@ def rref(rows, ncols):
         if r == nrows:
             break
     return work[:r], pivots
+
+
+def _rref_real(rows, ncols):
+    """rref of real rows on their numerators alone.  After each step an
+    entry is a minor of the numerator matrix, so the update
+    (p * row[j] - f * prow[j]) // prev is exact; a row with f = 0 is still
+    scaled by p / prev to stay a minor."""
+    work = [list(r[1::2]) for r in rows]
+    nrows = len(work)
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        src = r
+        while src < nrows and not work[src][c]:
+            src += 1
+        if src == nrows:
+            continue
+        if src != r:
+            work[r], work[src] = work[src], work[r]
+        prow = work[r]
+        p = prow[c]
+        for i in range(nrows):
+            if i == r:
+                continue
+            row = work[i]
+            f = row[c]
+            if f:
+                for j in range(ncols):
+                    row[j] = (p * row[j] - f * prow[j]) // prev
+            elif p != prev:
+                for j in range(ncols):
+                    row[j] = p * row[j] // prev
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    out = []
+    for row, c in zip(work, pivots):
+        if row[c] < 0:
+            row = [-v for v in row]
+        g = gcd(*row)
+        full = [0] * (2 * ncols + 1)
+        full[0] = row[c] // g
+        full[1::2] = [v // g for v in row] if g > 1 else row
+        out.append(full)
+    return out, pivots
 
 
 # Narrower products keep the loop, where packing gains little: on 4x4 real

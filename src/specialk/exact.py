@@ -33,13 +33,14 @@ __all__ = [
 
 
 class ExactComplex:
-    """A Gaussian rational re + im*i with Fraction components."""
+    """A Gaussian rational re + im*i with Fraction components.  A part
+    given as a Fraction is kept as it is (Fractions are immutable)."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactComplex is immutable")
@@ -196,7 +197,24 @@ class ExactComplex:
         return f"ExactComplex('{self}')"
 
 
+# Largest decimal exponent a scalar literal may carry, refused before any
+# number is built: Fraction("1e999999999") would build the whole integer.
+# 4300 is Python's default digit limit for int strings.
+MAX_LITERAL_EXPONENT = 4300
+
+_EXPONENT = _re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*$")
+
+
 def _literal_fraction(token, text):
+    m = _EXPONENT.search(token)
+    if m:
+        exponent = 0
+        for digit in m.group(1).replace("_", ""):
+            exponent = 10 * exponent + int(digit)
+            if exponent > MAX_LITERAL_EXPONENT:
+                raise ValueError(
+                    f"exponent beyond {MAX_LITERAL_EXPONENT} in scalar literal {text!r}"
+                )
     try:
         return Fraction(token)
     except ZeroDivisionError:
@@ -398,9 +416,10 @@ class ExactMatrix:
         return cls._from_rows(tuple(rows), cols)
 
     def __getitem__(self, ij):
-        """m[i, j] is an entry; with a slice for i or j, a submatrix."""
+        """m[i, j] is an entry; with a slice for i, or a slice or a list of
+        column indices for j, a submatrix."""
         i, j = ij
-        if not isinstance(i, slice) and not isinstance(j, slice):
+        if not isinstance(i, slice) and not isinstance(j, (slice, list)):
             row = self._rows[i]
             c = 1 + 2 * range(self.cols)[j]
             return ExactComplex(Fraction(row[c], row[0]), Fraction(row[c + 1], row[0]))
@@ -408,13 +427,13 @@ class ExactMatrix:
         cols = range(self.cols)
         if isinstance(j, slice):
             cols = cols[j]
+        elif isinstance(j, list):
+            cols = [cols[c] for c in j]
         else:
             cols = range(cols[j], cols[j] + 1)
         if cols != range(self.cols):
-            rows = tuple(
-                _canon([r[0], *(v for c in cols for v in r[1 + 2 * c : 3 + 2 * c])])
-                for r in rows
-            )
+            picked = [0, *(k for c in cols for k in (1 + 2 * c, 2 + 2 * c))]
+            rows = tuple(_canon([r[k] for k in picked]) for r in rows)
         return ExactMatrix._from_rows(rows, len(cols))
 
     @property
@@ -503,10 +522,16 @@ class ExactMatrix:
         return len(pivots)
 
     def inverse(self) -> "ExactMatrix":
-        if self._inverse is not None:
-            return self._inverse
-        if self.rows != self.cols:
-            raise ValueError("inverse of non-square matrix")
+        if self._inverse is None:
+            if self.rows != self.cols:
+                raise ValueError("inverse of non-square matrix")
+            if self._rank_keeping_inverse() < self.rows:
+                raise ZeroDivisionError("matrix is singular")
+        return self._inverse
+
+    def _rank_keeping_inverse(self) -> int:
+        """Rank of a square matrix from one elimination of [self | 1]; at
+        full rank the right half is the inverse, kept on both matrices."""
         n = self.rows
         aug = []
         for i, r in enumerate(self._rows):
@@ -514,13 +539,13 @@ class ExactMatrix:
             ext[1 + 2 * (n + i)] = r[0]
             aug.append(ext)
         red, pivots = _kernel.rref(aug, 2 * n)
-        if pivots[:n] != list(range(n)) or len(pivots) < n:
-            raise ZeroDivisionError("matrix is singular")
-        # [I | A^-1]: the left half is a unit row, so the right half is canonical
-        inv = ExactMatrix._from_rows(tuple((r[0], *r[1 + 2 * n :]) for r in red), n)
-        object.__setattr__(self, "_inverse", inv)
-        object.__setattr__(inv, "_inverse", self)
-        return inv
+        rank = sum(p < n for p in pivots)
+        if rank == n:
+            # [I | A^-1]: the left half is a unit row, so the right half is canonical
+            inv = ExactMatrix._from_rows(tuple((r[0], *r[1 + 2 * n :]) for r in red), n)
+            object.__setattr__(self, "_inverse", inv)
+            object.__setattr__(inv, "_inverse", self)
+        return rank
 
     def det(self) -> ExactComplex:
         if self.rows != self.cols:

@@ -438,34 +438,36 @@ class QuaternionicChart:
 
 def hodge_from_quaternionic(q: QuaternionicStructure) -> QuaternionicChart:
     """Split V into quaternionic blocks and build the weight-1 Hodge
-    structure whose associated J is the given one (exact round trip)."""
+    structure whose associated J is the given one (exact round trip).
+
+    Block t is generated by e_t, I e_t, J e_t and K e_t.  The matrix whose
+    columns are the generators of the chosen t in chart order (every e_t,
+    then every J e_t, I e_t and I J e_t) has row r read straight off row r
+    of the identity, J, I and K, and its rank is the dimension of their
+    span, so each candidate block costs one elimination and nothing is
+    transposed.  The last block is tested on [generators | 1]: when it is
+    accepted, the right half is the chart, which keeps the generator
+    matrix as its inverse."""
     n4 = q.real_dim
     if n4 % 4:
         raise ValueError("quaternionic structures need real dimension 4n")
     k = n4 // 4
-    # rows t, n4 + t, 2 n4 + t, 3 n4 + t: e_t and its images under I, J, K
-    gens = ExactMatrix.blocks(
-        [[ExactMatrix.identity(n4)], [q.imat.T], [q.jmat.T], [q.kmat.T]]
-    )
+    ident = ExactMatrix.identity(n4)
     chosen = []
-    span = Subspace.zero(n4)
     for t in range(n4):
-        grown = span + Subspace.row_space(gens[t::n4, :])
-        if grown.dim == span.dim:
-            continue  # e_t lies in span, which is I- and J-invariant
-        if grown.dim != span.dim + 4:
+        ts = chosen + [t]
+        gens = ExactMatrix.blocks([[m[:, ts] for m in (ident, q.jmat, q.imat, q.kmat)]])
+        last = len(ts) == k
+        rank = gens._rank_keeping_inverse() if last else gens.rank()
+        if rank == 4 * len(chosen):
+            continue  # e_t lies in the chosen blocks' span, which is I- and J-invariant
+        if rank != 4 * len(ts):
             raise ValueError("quaternionic relations fail to generate free blocks")
-        chosen.append(t)
-        span = grown
-        if span.is_full():
+        chosen = ts
+        if last:
             break
     assert len(chosen) == k
-    # basis columns: the chosen v = e_t, then J v, then I v, then I J v
-    columns = ExactMatrix.blocks(
-        [[gens[g * n4 + t : g * n4 + t + 1, :]] for g in (0, 2, 1, 3) for t in chosen]
-    )
-    chart = columns.T.inverse()
-    return QuaternionicChart(hodge=_chart_hodge_structure(k), chart=chart, source=q)
+    return QuaternionicChart(hodge=_chart_hodge_structure(k), chart=gens.inverse(), source=q)
 
 
 @lru_cache(maxsize=None)

@@ -296,9 +296,13 @@ class TestRees:
              ' "real_structure": 5}', "'real_structure' must be a list of rows"),
             ('{"dim": 2, "steps": [[["1", "0"], ["0", "1"]]], "conjugate": true,'
              ' "real_structure": ["1", "0"]}', "'real_structure' must be a list of rows"),
+            # one above the exponent bound; a literal like 1e999999999 would
+            # build the whole integer before failing
+            ('{"dim": 1, "steps": [[["1e4301"]]]}',
+             "exponent beyond 4300 in scalar literal '1e4301'"),
         ],
         ids=["float-dim", "bool-dim", "huge-dim", "string-dim", "scalar-real-structure",
-             "flat-real-structure"],
+             "flat-real-structure", "literal-exponent"],
     )
     def test_bad_input_is_one_line_data_error(self, tmp_path, capsys, text, message):
         path = write(tmp_path, "bad.json", text)

@@ -6,6 +6,7 @@ import pytest
 
 from randgen import matrix, scalar, vector
 from specialk.exact import (
+    MAX_LITERAL_EXPONENT,
     ExactComplex,
     ExactMatrix,
     Subspace,
@@ -62,6 +63,38 @@ class TestExactComplex:
         for bad in ("", "1+2", "i+i", "1//2", "one"):
             with pytest.raises(ValueError):
                 ExactComplex.parse(bad)
+
+    def test_exponent_bound(self):
+        """A literal's exponent is bounded before the number is built."""
+        bound = MAX_LITERAL_EXPONENT
+        assert bound == 4300
+        assert ExactComplex.parse(f"1e{bound}") == ExactComplex(10**bound)
+        assert ExactComplex.parse(f"-3e0_{bound}*i") == ExactComplex(0, -3 * 10**bound)
+        for bad in (f"1e{bound + 1}", f"2.5E{bound + 1}", f"1-4e00{bound + 1}*i",
+                    f"1e{bound + 1:_}"):
+            with pytest.raises(ValueError, match=f"exponent beyond {bound} in scalar literal"):
+                ExactComplex.parse(bad)
+
+    def test_boxed_parts_are_exact_fractions(self):
+        """Entries read off kernel rows keep the Fractions they are built
+        from: same values, equality and hashes, and no second coercion."""
+        m = ExactMatrix([[Fraction(-4, 6), ExactComplex(Fraction(3, 9), 2)], [5, 0]])
+        parts = [(e.re, e.im) for row in m.entries for e in row] + [
+            (m[0, 1].re, m[0, 1].im)
+        ] + [(e.re, e.im) for v in Subspace.row_space(m).basis for e in v]
+        assert all(type(x) is Fraction for pair in parts for x in pair)
+        assert m.entries[0] == (ExactComplex(Fraction(-2, 3)), ExactComplex(Fraction(1, 3), 2))
+        assert hash(m.entries[0][0]) == hash(Fraction(-2, 3))
+        assert hash(m[0, 1]) == hash((Fraction(1, 3), Fraction(2)))
+        f = Fraction(7, 3)
+        assert ExactComplex(f).re is f
+        kept = ExactComplex(2, True)
+        assert type(kept.re) is Fraction and type(kept.im) is Fraction and kept.im == 1
+
+        class Sub(Fraction):
+            pass
+
+        assert type(ExactComplex(Sub(1, 2)).re) is Fraction
 
     def test_format_parse_round_trip(self):
         rng = XorShift(3)

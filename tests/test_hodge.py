@@ -341,6 +341,93 @@ class TestHodgeFromQuaternionic:
         with pytest.raises(ValueError):
             QuaternionicStructure(ident, ident)
 
+    @properties
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([4, 8]))
+    def test_chart_equals_inverse_of_transposed_generators(self, seed, n4):
+        qs = quaternionic_pair(XorShift(seed), n4)
+        gens, chart = chart_from_transposes(qs)
+        got = hodge_from_quaternionic(qs).chart
+        assert got == chart
+        assert got.inverse() == gens
+
+    def test_generated_coordinate_is_skipped(self):
+        """With e_1 in the block of e_0, the candidate t = 1 is tested on
+        [generators | 1] and skipped; t = 2 completes the chart."""
+        qs = coordinates_swapped(standard_quaternionic(8), 1, 2)
+        gens, chart = chart_from_transposes(qs)
+        got = hodge_from_quaternionic(qs)
+        assert got.chart == chart and got.chart.inverse() == gens
+        assert got.recovered_structure() == qs
+
+    def test_one_elimination_per_block_and_no_transpose(self, monkeypatch):
+        """Each candidate block costs one rref, nothing is transposed, and
+        the chart is inverted back for free."""
+        qs = quaternionic_pair(XorShift(7), 8)
+        skipping = coordinates_swapped(standard_quaternionic(8), 1, 2)
+        _chart_hodge_structure(2)
+        calls = []
+        rref, transpose = _kernel.rref, ExactMatrix.transpose
+        monkeypatch.setattr(_kernel, "rref", lambda *a: calls.append("rref") or rref(*a))
+        monkeypatch.setattr(
+            ExactMatrix, "transpose", lambda m: calls.append("transpose") or transpose(m)
+        )
+        chart = hodge_from_quaternionic(qs)
+        chart.chart.inverse()
+        assert calls == ["rref", "rref"]
+        calls.clear()
+        hodge_from_quaternionic(skipping)
+        assert calls == ["rref"] * 3
+
+    def test_recovered_structure_checks_every_relation(self, monkeypatch):
+        """Pulling the model back costs its four conjugation products and the
+        constructor's four relation products, and no elimination; the
+        constructor still rejects broken relations."""
+        qs = quaternionic_pair(XorShift(5), 8)
+        chart = hodge_from_quaternionic(qs)
+        quaternionic_from_hodge(chart.hodge)
+        calls = []
+        for name in ("rref", "matmul"):
+            kernel_fn = getattr(_kernel, name)
+            monkeypatch.setattr(
+                _kernel, name, lambda *a, _n=name, _f=kernel_fn: calls.append(_n) or _f(*a)
+            )
+        recovered = chart.recovered_structure()
+        assert calls == ["matmul"] * 8
+        assert recovered == qs
+        with pytest.raises(ValueError, match="I\\^2 = J\\^2 = -1 fails"):
+            QuaternionicStructure(recovered.imat.scale(2), recovered.jmat)
+        with pytest.raises(ValueError, match="IJ = -JI fails"):
+            QuaternionicStructure(recovered.imat, recovered.imat)
+
+
+def chart_from_transposes(q):
+    """(generator matrix, chart) built by transposes and a span grown block
+    by block: the chart is the inverse of the transposed generator rows."""
+    n4 = q.real_dim
+    gens = ExactMatrix.blocks(
+        [[ExactMatrix.identity(n4)], [q.imat.T], [q.jmat.T], [q.kmat.T]]
+    )
+    chosen = []
+    span = Subspace.zero(n4)
+    for t in range(n4):
+        grown = span + Subspace.row_space(gens[t::n4, :])
+        if grown.dim > span.dim:
+            chosen.append(t)
+            span = grown
+    columns = ExactMatrix.blocks(
+        [[gens[g * n4 + t : g * n4 + t + 1, :]] for g in (0, 2, 1, 3) for t in chosen]
+    )
+    return columns.T, columns.T.inverse()
+
+
+def coordinates_swapped(q, a, b):
+    """q conjugated by the permutation matrix exchanging coordinates a, b."""
+    n4 = q.real_dim
+    perm = list(range(n4))
+    perm[a], perm[b] = b, a
+    p = ExactMatrix([[int(j == perm[i]) for j in range(n4)] for i in range(n4)])
+    return QuaternionicStructure(p @ q.imat @ p, p @ q.jmat @ p)
+
 
 class TestReuse:
     """Results the round trips reuse instead of recomputing: the inverse

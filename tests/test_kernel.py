@@ -248,3 +248,98 @@ def test_subspace_dimension_formula(data):
 def test_parse_str_round_trip(re, im):
     x = ExactComplex(re, im)
     assert ExactComplex.parse(str(x)) == x
+
+
+@st.composite
+def real_rref_inputs(draw):
+    """Real rows for rref: zero, dense, sparse, duplicate, scaled and
+    negated rows, dens above 1, entries up to 520 bits, one column up to
+    wide n x 2n inputs [A | 1] of the kind an inverse eliminates."""
+    ncols = draw(st.integers(1, 6))
+    nrows = draw(st.integers(0, 6))
+    rows = draw(wide_rows(nrows, ncols, REAL_KINDS))
+    if rows and draw(st.booleans()):
+        # a dependent row: a multiple of one already drawn, negation included
+        src = draw(st.sampled_from(rows))
+        m = draw(st.sampled_from([1, -1, 3, -2]))
+        rows.append([src[0] * draw(st.sampled_from([1, 5]))] + [m * v for v in src[1:]])
+    if rows and draw(st.booleans()):
+        n = len(rows)
+        ext = []
+        for i, row in enumerate(rows):
+            unit = [0] * (2 * n)
+            unit[2 * i] = row[0]
+            ext.append(row + unit)
+        return ext, ncols + n
+    return rows, ncols
+
+
+@properties
+@given(real_rref_inputs())
+def test_real_and_loop_rref_agree(m):
+    """On real rows the half-width fraction-free path gives the loop's rows
+    and pivots exactly, and rref takes it."""
+    rows, ncols = m
+    loop = _kernel._rref_loop(rows, ncols)
+    assert _kernel._rref_real(rows, ncols) == loop
+    assert _kernel.rref(rows, ncols) == loop
+    assert _kernel.rref([tuple(r) for r in rows], ncols) == loop
+
+
+@pytest.mark.parametrize(
+    "rows,ncols",
+    [
+        ([], 3),
+        ([[1, 0, 0, 0, 0]] * 3, 2),                                    # all zero
+        ([[1, 0, 0, 0, 0], [2, -4, 0, 6, 0], [1, 0, 0, 0, 0]], 2),      # zero rows around
+        ([[3, -2, 0, 5, 0], [1, -7, 0, 1, 0]], 2),                      # negative leads
+        ([[1, 2, 0, 4, 0], [7, 2, 0, 4, 0], [1, -1, 0, -2, 0]], 2),     # duplicates
+        ([[5, -3, 0], [2, 0, 0], [1, 9, 0]], 1),                        # one column
+        ([[1, 0, 0, 2, 0, 1, 0], [1, 0, 0, 4, 0, 2, 0]], 3),            # zero first column
+        ([[1, 2**520 + 1, 0, -(2**519), 0], [3, 2**521, 0, 7, 0]], 2),  # 520-bit entries
+        ([[4, 2, 0, 0, 0, 4, 0, 0, 0], [6, 1, 0, 3, 0, 0, 0, 6, 0]], 4),  # [A | den 1]
+        ([[1, 1, 0, 2, 0, 1, 0, 0, 0], [1, 2, 0, 4, 0, 0, 0, 1, 0]], 4),  # singular A
+    ],
+)
+def test_real_rref_edge_rows(rows, ncols):
+    loop = _kernel._rref_loop(rows, ncols)
+    assert _kernel.rref(rows, ncols) == loop
+    for row, c in zip(*loop):
+        assert row[0] > 0 and row[1 + 2 * c] == row[0]
+        assert gcd(*row) == 1
+
+
+def test_real_rref_leaves_its_input_alone():
+    rows = [[2, -4, 0, 6, 0], [1, 1, 0, 1, 0]]
+    copy = [list(r) for r in rows]
+    _kernel.rref(rows, 2)
+    assert rows == copy
+
+
+def test_real_path_is_taken_for_real_rows_only(monkeypatch):
+    taken = []
+    real = _kernel._rref_real
+
+    def counted(rows, ncols):
+        taken.append(len(rows))
+        return real(rows, ncols)
+
+    monkeypatch.setattr(_kernel, "_rref_real", counted)
+    _kernel.rref([[2, 1, 0, 3, 0], [1, 0, 0, 5, 0]], 2)    # real
+    _kernel.rref([[2, 1, 0, 3, 0], [1, 0, 0, 5, 1]], 2)    # one imaginary numerator
+    _kernel.rref([[1, 0, 1]], 1)                            # purely imaginary
+    assert taken == [2]
+
+
+@pytest.mark.parametrize(
+    "row,reduced",
+    [
+        ([6, 0, 0, 0, 0], [1, 0, 0, 0, 0]),
+        ([4, -6, 2, 0, -10], [2, -3, 1, 0, -5]),
+        ([3, -9, 0, 6, -3], [1, -3, 0, 2, -1]),
+        ([5, -3, 1], [5, -3, 1]),
+        ([1], [1]),
+    ],
+)
+def test_reduce_row(row, reduced):
+    assert _kernel._reduce_row(list(row)) == reduced
