@@ -31,9 +31,10 @@ EXIT_DATA = 4
 
 
 def _emit(report, out_path, code):
-    """Print the report, or write it to out_path; returns code, or the
-    usage-error code with one stderr line when out_path cannot be written."""
-    text = stable_json(report) + "\n"
+    """Print the report with the tool and version fields, or write it to
+    out_path; returns code, or the usage-error code with one stderr line
+    when out_path cannot be written."""
+    text = stable_json({"tool": "specialk", "version": __version__, **report}) + "\n"
     if not out_path:
         sys.stdout.write(text)
         return code
@@ -80,8 +81,6 @@ def _sweep(args, command, sampler, sample_at, header=None):
         summary["max_residuals"] = max_res
     config = {key: getattr(args, key) for key in ("entry", "points", "seed", "tol", "step")}
     report = {
-        "tool": "specialk",
-        "version": __version__,
         "config": {"command": command, **config},
         **(header(prep) if header else {}),
         "samples": samples,
@@ -163,8 +162,6 @@ def cmd_rees(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     report = {
-        "tool": "specialk",
-        "version": __version__,
         "splitting": list(st.degrees),
         "degree": st.degree,
         "rank": st.rank,
@@ -259,8 +256,6 @@ def cmd_catalog(args) -> int:
     from .prepotentials import catalog
 
     report = {
-        "tool": "specialk",
-        "version": __version__,
         "entries": [
             {"name": e.name, "description": e.description} for e in catalog()
         ],

@@ -144,7 +144,8 @@ class ExactComplex:
         re, im, err = _rationalize(z, max_denominator)
         return ExactComplex(re, im), err
 
-    _TERM = _re.compile(r"[+-]?[^+-]+")
+    # a term runs to the next sign, except the sign of an exponent (1e-5)
+    _TERM = _re.compile(r"[+-]?(?:[eE][+-]|[^+-])+")
 
     @staticmethod
     def parse(text: str) -> "ExactComplex":

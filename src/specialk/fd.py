@@ -27,41 +27,34 @@ def _eval(f, x):
         raise FDEvaluationError(x, exc) from exc
 
 
+def _stencil_columns(f, x, h, column):
+    """Stack column(at) over the coordinates j of x, where at(s) is f at
+    x + s h e_j; output shape f(x).shape + (m,)."""
+    if h <= 0:
+        raise ValueError("step size must be positive")
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for j in range(x.size):
+        e = np.zeros_like(x)
+        e.flat[j] = h
+        cols.append(column(lambda s: _eval(f, x + s * e)))
+    return np.stack(cols, axis=-1)
+
+
 def jacobian(f, x, h: float = DEFAULT_STEP):
     """Central-difference Jacobian of a vector-valued f: R^m -> R^k.
 
     Output shape is f(x).shape + (m,); entrywise error is O(h^2) for C^3
     functions.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e.flat[j] = h
-        cols.append((_eval(f, x + e) - _eval(f, x - e)) / (2.0 * h))
-    return np.stack(cols, axis=-1)
+    return _stencil_columns(f, x, h, lambda at: (at(1) - at(-1)) / (2.0 * h))
 
 
 def jacobian4(f, x, h: float = 1e-3):
     """Fourth-order central stencil, used as an independent oracle against
     the second-order jacobian."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e.flat[j] = h
-        num = (
-            -_eval(f, x + 2 * e)
-            + 8.0 * _eval(f, x + e)
-            - 8.0 * _eval(f, x - e)
-            + _eval(f, x - 2 * e)
-        )
-        cols.append(num / (12.0 * h))
-    return np.stack(cols, axis=-1)
+    return _stencil_columns(
+        f, x, h, lambda at: (-at(2) + 8.0 * at(1) - 8.0 * at(-1) + at(-2)) / (12.0 * h))
 
 
 def hessian(f, x, h: float = 1e-4):

@@ -23,11 +23,14 @@ takes no stencil and its residuals sit at rounding level.  Each public
 call reads tau, C, d^4 F and w at most once.  Finite differences remain
 only in kahler_potential_residual, the independent check of the metric
 convention.
+
+A call that needs the metric checks in one order (_checked): the domain,
+an exactly symmetric tau, a positive metric Im tau, then the flat chart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,7 +161,7 @@ class SpecialKahlerPoint:
     higgs: np.ndarray
     higgs_bar: np.ndarray
     higgs_offtype: float
-    curvature: np.ndarray | None = field(default=None)
+    curvature: np.ndarray
 
 
 def _blockdiag(a, d=None):
@@ -222,13 +225,11 @@ def _flat_jacobians(tau, z):
     return dzw.real, dzw.imag
 
 
-def _checked(prep: Prepotential, z, metric_first: bool = False):
+def _checked(prep: Prepotential, z):
     """(tau, metric, flat Jacobian) after the checks of the domain, tau,
-    the metric and the chart; metric_first checks the domain after g."""
-    tau = _tau(prep, z, domain=not metric_first)
+    the metric and the chart, in that order."""
+    tau = _tau(prep, z)
     md = _metric(tau, z)
-    if metric_first:
-        prep.require_domain(z)
     return tau, md, _flat_jacobians(tau, z)[0]
 
 
@@ -284,7 +285,7 @@ def _flat_jet(jac, c, q=None):
 def flat_omega_residual(prep: Prepotential, z) -> float:
     """Sup-norm distance of the pushed-forward Kahler form from the
     standard Darboux matrix in the flat chart."""
-    _, md, jac = _checked(prep, z, metric_first=True)
+    _, md, jac = _checked(prep, z)
     jinv = np.linalg.inv(jac)
     omega_flat = jinv.T @ md.omega @ jinv
     return float(np.max(np.abs(omega_flat - darboux_matrix(prep.n))))
@@ -368,13 +369,16 @@ def lc_holomorphic(prep: Prepotential, z):
 def higgs_at(prep: Prepotential, z):
     """(A, Abar, off-type residual): A is the (1,0)-form part of
     nabla - D mapping T^{1,0} -> T^{0,1}; Abar its conjugate."""
-    tau = _tau(prep, z)
-    jac, c = _flat_jacobians(tau, z)[0], prep.third(z)
-    ar = _flat_jet(jac, c)[0] - _lc_jet(_metric(tau, z).g_real, c)[0]
+    _, md, jac = _checked(prep, z)
+    c = prep.third(z)
+    return _higgs_split(_flat_jet(jac, c)[0] - _lc_jet(md.g_real, c)[0])
+
+
+def _higgs_split(ar):
+    """(A, Abar, off-type residual) of nabla - D with Christoffels ar."""
     a = _higgs_part(ar)
     abar = np.conj(a)
-    offtype = float(np.max(np.abs(ar - a - abar)))
-    return a, abar, offtype
+    return a, abar, float(np.max(np.abs(ar - a - abar)))
 
 
 def _higgs_part(ar):
@@ -460,6 +464,10 @@ def check_equations(prep: Prepotential, z, tol: float = 1e-5, h: float = 1e-5) -
     dbarA (holomorphy of the Higgs field) and the full real flatness
     residual of nabla.
 
+    D is real and Abar = conj(A), and conjugation swaps P10 and P01, so e3,
+    e6 and e8 are e2, e5 and dbarA conjugated, and Abar^A = conj(A^Abar);
+    IEEE negation is exact, so reading them off keeps every bit.
+
     Every derivative comes from the analytic jets of the Levi-Civita and
     flat connections at the point, so nothing is evaluated off it.  h is
     unused apart from being validated; it stays for the callers that
@@ -476,28 +484,23 @@ def check_equations(prep: Prepotential, z, tol: float = 1e-5, h: float = 1e-5) -
     gamma_f, d_flat = _flat_jet(jac, c, q)
     ar = gamma_f - gamma_d
     d_ar = d_flat - d_lc
-    # the type projection is constant, so A's stack is the projected stack
-    # of nabla - D, and Abar's is its conjugate
-    a = _higgs_part(ar)
-    d_a = _higgs_part(d_ar)
-    abar = np.conj(a)
+    # the type projection is constant: A's stack is that of nabla - D, projected
+    a, abar, _ = _higgs_split(ar)
     r_d = _curvature(gamma_d, d_lc)
-    dd_a = _covariant_ext(a, d_a, gamma_d)
-    dd_abar = _covariant_ext(abar, np.conj(d_a), gamma_d)
+    dd_a = _covariant_ext(a, _higgs_part(d_ar), gamma_d)
     dd_ar = _covariant_ext(ar, d_ar, gamma_d)
+    w = _wedge(a, abar)
 
     def sup(t):
         return float(np.max(np.abs(t)))
 
-    r_endo = r_d.astype(complex)
+    e2 = sup(_project_form_slots(dd_a + _wedge(a, a), p10, p10))
+    e5 = sup(_project_form_slots(dd_a, p10, p10))
+    dbar_a = sup(_project_form_slots(dd_a, p01, p10))
     residuals = {
-        "e2": sup(_project_form_slots(dd_a + _wedge(a, a), p10, p10)),
-        "e3": sup(_project_form_slots(dd_abar + _wedge(abar, abar), p01, p01)),
-        "e5": sup(_project_form_slots(dd_a, p10, p10)),
-        "e6": sup(_project_form_slots(dd_abar, p01, p01)),
-        "e8": sup(_project_form_slots(dd_abar, p10, p01)),
-        "e9": sup(r_endo + _wedge(a, abar) + _wedge(abar, a)),
-        "dbarA": sup(_project_form_slots(dd_a, p01, p10)),
+        "e2": e2, "e3": e2, "e5": e5, "e6": e5, "e8": dbar_a,
+        "e9": sup(r_d + w + np.conj(w)),
+        "dbarA": dbar_a,
         "flatness": sup(r_d + dd_ar + _wedge(ar, ar)),
     }
     return EquationReport(residuals=residuals, tol=tol)
@@ -505,10 +508,10 @@ def check_equations(prep: Prepotential, z, tol: float = 1e-5, h: float = 1e-5) -
 
 def check_special_conditions(prep: Prepotential, z, tol: float = 1e-5) -> EquationReport:
     """Residuals of the defining conditions: symmetry of (nabla I),
-    nabla omega = 0, d omega = 0 and the exact tau-symmetry that makes
-    Re Omega = sum dx^dy - sum dp^dq vanish."""
+    nabla omega = 0 and d omega = 0.  The tau-symmetry behind Re Omega = 0
+    is a hard check: reading a non-symmetric tau raises ValueError."""
     z = prep.as_point(z)
-    tau, md, jac = _checked(prep, z)
+    _, md, jac = _checked(prep, z)
     c = prep.third(z)
     _, domega = _metric_derivatives(c)
     gamma, _ = _flat_jet(jac, c)
@@ -531,7 +534,6 @@ def check_special_conditions(prep: Prepotential, z, tol: float = 1e-5) -> Equati
         "dnabla_I_symmetry": float(np.max(np.abs(sym))),
         "nabla_omega": float(np.max(np.abs(nab))),
         "d_omega": float(np.max(np.abs(dw))),
-        "re_Omega": float(np.max(np.abs(tau - tau.T))),
     }
     return EquationReport(residuals=residuals, tol=tol)
 
@@ -589,26 +591,25 @@ class LagrangianReport:
         return self.loop_integral < tol_loop and self.pullback_residual < tol_pullback
 
 
-def lagrangian_graph_check(prep: Prepotential, center, radius: float = 0.1,
-                           coord: int = 0, nodes: int = 256) -> LagrangianReport:
-    """Loop integral of theta = sum w_r dz_r around a small circle (closed
-    one-form certificate) and the graph pullback residual of
+def lagrangian_graph_check(prep: Prepotential, center, radius: float = 0.1) -> LagrangianReport:
+    """Loop integral of theta = sum w_r dz_r around a small circle in z_1
+    (closed one-form certificate) and the graph pullback residual of
     Omega = sum dz ^ dw, which is the pointwise tau-symmetry defect."""
     center = prep.as_point(center)
-    ts = np.linspace(0.0, 2.0 * np.pi, nodes, endpoint=False)
+    ts = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
     total = 0.0 + 0.0j
     pull = 0.0
     for t in ts:
         z = center.copy()
-        z[coord] += radius * np.exp(1j * t)
+        z[0] += radius * np.exp(1j * t)
         prep.require_domain(z)
         w = np.asarray(prep.grad(z), dtype=complex)
         dz = np.zeros_like(center)
-        dz[coord] = radius * 1j * np.exp(1j * t)
+        dz[0] = radius * 1j * np.exp(1j * t)
         total += np.sum(w * dz)
         tau = np.asarray(prep.hess(z), dtype=complex)
         pull = max(pull, float(np.max(np.abs(tau - tau.T))))
-    total *= 2.0 * np.pi / nodes
+    total *= 2.0 * np.pi / len(ts)
     return LagrangianReport(loop_integral=float(abs(total)), pullback_residual=pull)
 
 
@@ -641,21 +642,18 @@ def sample_points(prep: Prepotential, count: int, seed: int,
     return pts
 
 
-def point_data(prep: Prepotential, z, with_curvature: bool = True) -> SpecialKahlerPoint:
+def point_data(prep: Prepotential, z) -> SpecialKahlerPoint:
     """All pointwise geometry in one structure; the curvature of the
     Levi-Civita connection comes from its analytic jet."""
     z = prep.as_point(z)
-    tau, md, jac = _checked(prep, z, metric_first=True)
+    tau, md, jac = _checked(prep, z)
     w = np.asarray(prep.grad(z), dtype=complex)
     c = np.asarray(prep.third(z), dtype=complex)
     chart = FlatChart(x=z.real, y=w.real, p=z.imag, q=w.imag, jacobian=jac,
                       second=_flat_second(c))
     gamma_flat, _ = _flat_jet(jac, c)
-    gamma_lc, d_lc = _lc_jet(md.g_real, c, prep.fourth(z) if with_curvature else None)
-    curv = _curvature(gamma_lc, d_lc) if with_curvature else None
-    ar = gamma_flat - gamma_lc
-    a = _higgs_part(ar)
-    abar = np.conj(a)
+    gamma_lc, d_lc = _lc_jet(md.g_real, c, prep.fourth(z))
+    a, abar, offtype = _higgs_split(gamma_flat - gamma_lc)
     return SpecialKahlerPoint(
         z=z,
         tau=tau,
@@ -667,6 +665,6 @@ def point_data(prep: Prepotential, z, with_curvature: bool = True) -> SpecialKah
         gamma_lc=gamma_lc,
         higgs=a,
         higgs_bar=abar,
-        higgs_offtype=float(np.max(np.abs(ar - a - abar))),
-        curvature=curv,
+        higgs_offtype=offtype,
+        curvature=_curvature(gamma_lc, d_lc),
     )

@@ -520,12 +520,12 @@ def vhs_from_special_kahler(prep, points, tol: float = 1e-5,
     the report), plus the holomorphic-subbundle residual.
 
     Only the polarization depends on the point; the Hodge structure is
-    tangent_hodge_structure(n).  Each point reads tau and C once, with the
-    checks of metric_at and then those of vhs_holomorphy_residual."""
+    tangent_hodge_structure(n).  Each point reads tau and C once, after the
+    checks of the domain, tau, the metric and the flat chart."""
     reports = []
     for z in points:
         z = prep.as_point(z)
-        _, md, jac = geometry._checked(prep, z, metric_first=True)
+        _, md, jac = geometry._checked(prep, z)
         hol = geometry._holomorphy_residual(geometry._flat_jet(jac, prep.third(z))[0])
         q_exact, err_q = rationalize_matrix(-md.omega.astype(complex), max_denominator)
         pure = True

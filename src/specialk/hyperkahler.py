@@ -90,7 +90,7 @@ def _frame_blocks(prep: Prepotential, pt: CotangentPoint, jet: bool = False):
     """(md, s, s_inv): the base metric, the frame matrix and its inverse,
     from one read of tau and C; with jet=True also (Gamma_flat, dGamma_flat,
     dg), read with d^4 F, the jet along which _frame_jet differentiates it."""
-    _, md, jac = geometry._checked(prep, pt.z, metric_first=True)
+    _, md, jac = geometry._checked(prep, pt.z)
     c = prep.third(pt.z)
     gamma, dgamma = geometry._flat_jet(jac, c, prep.fourth(pt.z) if jet else None)
     n2 = 2 * prep.n
@@ -131,10 +131,10 @@ def _tangent_split(pt: CotangentPoint, md, s, s_inv) -> HyperkahlerFrame:
 
 
 def quaternion_residual(fr: HyperkahlerFrame) -> float:
-    """Sup-norm defect of I^2 = J^2 = K^2 = IJK = -1 and IJ = -JI."""
+    """Sup-norm defect of I^2 = J^2 = K^2 = -1 and IJ = -JI; K = IJ, so IJK = K^2."""
     i, j, k = fr.imat, fr.jmat, fr.kmat
     ident = np.eye(i.shape[0])
-    defects = (i @ i + ident, j @ j + ident, k @ k + ident, i @ j + j @ i, i @ j @ k + ident)
+    defects = (i @ i + ident, j @ j + ident, k @ k + ident, i @ j + j @ i)
     return float(max(np.max(np.abs(d)) for d in defects))
 
 

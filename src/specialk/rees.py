@@ -120,14 +120,9 @@ def filtration_from_module(ambient_dim: int, generators) -> Filtration:
 
 
 def _meet_dim(a: Subspace, b: Subspace) -> int:
-    """dim(a /\\ b), intersecting only when neither side is 0 or V."""
-    if a.is_zero() or b.is_zero():
-        return 0
-    if a.is_full():
-        return b.dim
-    if b.is_full():
-        return a.dim
-    return (a & b).dim
+    """dim(a /\\ b) = dim a + dim b - dim(a + b): one n-wide elimination,
+    none when a side is 0 or V."""
+    return a.dim + b.dim - (a + b).dim
 
 
 def h0(bundle: ReesBundle, m: int = 0) -> int:
@@ -188,12 +183,14 @@ def purity_oracle(f: Filtration, fbar: Filtration, w: int) -> bool:
     if f.ambient_dim != fbar.ambient_dim:
         raise ValueError("filtrations live on different spaces")
     n = f.ambient_dim
-    pieces = []
+    pieces, total_dim = [], 0
+    # stop once the pieces outgrow the space: for w far below zero the
+    # range is long, but every p in [w, 0] gives the piece V
     for p in range(w - fbar.length + 1, f.length):
-        piece = f.step(p) & fbar.step(w - p)
-        if piece.dim:
-            pieces.append(piece)
-    total_dim = sum(p.dim for p in pieces)
+        pieces.append(f.step(p) & fbar.step(w - p))
+        total_dim += pieces[-1].dim
+        if total_dim > n:
+            return False
     if total_dim != n:
         return False
     acc = Subspace.zero(n)

@@ -226,6 +226,24 @@ class TestRees:
         assert rep["pure"] is False and rep["semistable"] is False
         assert rep["agree"] is True
 
+    def test_purity_at_far_negative_weight(self, capsys):
+        """A weight of -10^12 is answered at once: the pieces outgrow the
+        space after a few steps of the weight range."""
+        path = str(FIXTURES / "rees_explicit.json")
+        assert run(["rees", "purity", "--weight", str(-10**12), path]) == 0
+        rep = strict_loads(capsys.readouterr().out)
+        assert rep["pure"] is False and rep["semistable"] is False
+        assert rep["config"] == {"command": "rees purity", "weight": -10**12}
+
+    def test_signed_exponent_literal(self, tmp_path, capsys):
+        """1e-5 is a scalar literal like 1: it spans the same line."""
+        for name, literal in (("exp.json", "1e-5"), ("one.json", "1")):
+            path = write(tmp_path, name, {"dim": 1, "steps": [[[literal]]]})
+            assert run(["rees", "split", path]) == 0
+        exp, one = capsys.readouterr().out.splitlines()
+        assert exp == one
+        assert strict_loads(exp)["splitting"] == [0]
+
     def test_explicit_conjugate_steps(self, tmp_path, capsys):
         obj = dict(PURE_C2)
         obj["conjugate_steps"] = [[["1", "0"], ["0", "1"]], [["1", "-i"]]]
@@ -300,9 +318,11 @@ class TestRees:
             # build the whole integer before failing
             ('{"dim": 1, "steps": [[["1e4301"]]]}',
              "exponent beyond 4300 in scalar literal '1e4301'"),
+            ('{"dim": 1, "steps": [[["1e-4301"]]]}',
+             "exponent beyond 4300 in scalar literal '1e-4301'"),
         ],
         ids=["float-dim", "bool-dim", "huge-dim", "string-dim", "scalar-real-structure",
-             "flat-real-structure", "literal-exponent"],
+             "flat-real-structure", "literal-exponent", "negative-literal-exponent"],
     )
     def test_bad_input_is_one_line_data_error(self, tmp_path, capsys, text, message):
         path = write(tmp_path, "bad.json", text)

@@ -54,6 +54,10 @@ class TestExactComplex:
             ("2-1/3*i", ExactComplex(2, Fraction(-1, 3))),
             ("5*i", ExactComplex(0, 5)),
             ("0", ExactComplex(0)),
+            # the sign of an exponent stays in its term
+            ("1e-5", ExactComplex(Fraction(1, 100000))),
+            ("1E+3", ExactComplex(1000)),
+            ("2.5e-3+1e-2i", ExactComplex(Fraction(1, 400), Fraction(1, 100))),
         ],
     )
     def test_parse(self, text, expect):
@@ -71,7 +75,7 @@ class TestExactComplex:
         assert ExactComplex.parse(f"1e{bound}") == ExactComplex(10**bound)
         assert ExactComplex.parse(f"-3e0_{bound}*i") == ExactComplex(0, -3 * 10**bound)
         for bad in (f"1e{bound + 1}", f"2.5E{bound + 1}", f"1-4e00{bound + 1}*i",
-                    f"1e{bound + 1:_}"):
+                    f"1e{bound + 1:_}", f"1e-{bound + 1}"):
             with pytest.raises(ValueError, match=f"exponent beyond {bound} in scalar literal"):
                 ExactComplex.parse(bad)
 

@@ -267,6 +267,46 @@ class TestEquationSuite:
                 assert np.max(np.abs(analytic - stencil)) <= 1e-7 * scale
 
 
+# the base points of acceptance criteria 2 and 4, and cubic points nearer
+# its boundary than the sampler's margin
+def _suite_points():
+    for prep in (Cubic(), SWLog()):
+        for z in geo.sample_points(prep, 64, seed=2):
+            yield prep, z
+    for prep in (Cubic(), SWLog(), Coupled()):
+        for pt in hk.sample_cotangent_points(prep, 64, seed=4):
+            yield prep, pt.z
+    for z in (0.5 + 1e-7j, 0.3 + 1e-4j, 1e-3 + 0.5j):
+        yield Cubic(), np.array([z])
+
+
+def test_conjugate_half_equals_long_way():
+    """e3, e6, e8 and e9 read off the A half equal, bit for bit, the suite
+    that computes every Abar term from Abar on the same analytic stacks."""
+    count = 0
+    for prep, z in _suite_points():
+        gamma_d, d_lc = geo.levi_civita_jet(prep, z)
+        gamma_f, d_flat = geo.flat_connection_jet(prep, z)
+        d_ar = d_flat - d_lc
+        ref = long_way_suite(gamma_d, gamma_f - gamma_d, d_lc, d_ar, geo._higgs_part(d_ar))
+        assert geo.check_equations(prep, z).residuals == ref, (prep.name, z)
+        count += 1
+    assert count == 323
+
+
+def test_equation_suite_call_counts(monkeypatch):
+    """One point of the suite makes 3 projections, 2 covariant exterior
+    derivatives and 3 wedges."""
+    counts = {}
+    for name in ("_project_form_slots", "_covariant_ext", "_wedge"):
+        def counted(*args, _name=name, _fn=getattr(geo, name)):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(geo, name, counted)
+    geo.check_equations(Coupled(), entry_points(Coupled(), 1, seed=19)[0])
+    assert counts == {"_project_form_slots": 3, "_covariant_ext": 2, "_wedge": 3}
+
+
 def _central_stack(fn, u, h):
     """dF[d, ...] = central difference of fn along the chart direction d;
     fn may be complex-valued."""
@@ -297,14 +337,22 @@ def stencil_equation_suite(prep, z, h):
     a_fn = field(lambda zz: geo.higgs_at(prep, zz)[0])
     stacks = {key: _central_stack(fn, u, h)
               for key, fn in (("lc", lc_fn), ("ar", ar_fn), ("a", a_fn))}
-    gamma_d = lc_fn(u)
-    ar = ar_fn(u)
-    a, abar, _ = geo.higgs_at(prep, z)
-    r_d = geo._curvature(gamma_d, stacks["lc"])
-    dd_a = geo._covariant_ext(a, stacks["a"], gamma_d)
-    dd_abar = geo._covariant_ext(abar, np.conj(stacks["a"]), gamma_d)
-    dd_ar = geo._covariant_ext(ar, stacks["ar"], gamma_d)
-    p10, p01 = geo.type_projectors(prep.n)
+    residuals = long_way_suite(lc_fn(u), ar_fn(u), stacks["lc"], stacks["ar"], stacks["a"])
+    return residuals, stacks
+
+
+def long_way_suite(gamma_d, ar, d_lc, d_ar, d_a):
+    """The equation suite with every Abar term computed from Abar itself:
+    Abar's own covariant derivative, six projections and the wedges A^Abar
+    and Abar^A, from the Levi-Civita Christoffels gamma_d, those of
+    nabla - D (ar) and the stacks of both and of A."""
+    a = geo._higgs_part(ar)
+    abar = np.conj(a)
+    r_d = geo._curvature(gamma_d, d_lc)
+    dd_a = geo._covariant_ext(a, d_a, gamma_d)
+    dd_abar = geo._covariant_ext(abar, np.conj(d_a), gamma_d)
+    dd_ar = geo._covariant_ext(ar, d_ar, gamma_d)
+    p10, p01 = geo.type_projectors(len(ar) // 2)
     proj, wedge = geo._project_form_slots, geo._wedge
 
     def sup(t):
@@ -320,7 +368,7 @@ def stencil_equation_suite(prep, z, h):
         "dbarA": sup(proj(dd_a, p01, p10)),
         "flatness": sup(r_d + dd_ar + wedge(ar, ar)),
     }
-    return residuals, stacks
+    return residuals
 
 
 class TestKahlerPotential:
@@ -343,11 +391,23 @@ class TestSpecialConditions:
             assert rep.passed, rep.failing()
 
     def test_coupled_tau_symmetry_exact(self):
+        """tau-symmetry is a hard check, not a residual: the report has no
+        re_Omega key, and a provider whose tau is not exactly symmetric is
+        refused."""
         prep = Coupled()
         for z in entry_points(prep, 8, seed=23):
             rep = geo.check_special_conditions(prep, z, tol=1e-5)
-            assert rep.residuals["re_Omega"] == 0.0
+            assert "re_Omega" not in rep.residuals
             assert rep.passed
+
+        class SkewCoupled(Coupled):
+            def hess(self, z):
+                tau = super().hess(z)
+                tau[0, 1] += 1e-12
+                return tau
+
+        with pytest.raises(ValueError, match="non-symmetric tau"):
+            geo.check_special_conditions(SkewCoupled(), entry_points(prep, 1, seed=23)[0])
 
 
 class TestLagrangianGraph:
@@ -415,6 +475,21 @@ class TestPointData:
         assert data.curvature.shape == (n2, n2, n2, n2)
         assert data.higgs_offtype < 1e-6
         assert np.max(np.abs(data.imat @ data.imat + np.eye(n2))) == 0.0
+
+    @pytest.mark.parametrize("call", [
+        geo.flat_omega_residual, geo.point_data,
+        lambda prep, z: vhs_from_special_kahler(prep, [z]),
+        lambda prep, z: hk.tangent_split_at(
+            prep, hk.CotangentPoint(z=np.array(z), alpha=np.zeros(2))),
+    ], ids=("flat_omega_residual", "point_data", "vhs_from_special_kahler",
+            "tangent_split_at"))
+    def test_domain_checked_before_metric(self, call):
+        """Cubic at -1j is outside the domain and metric-degenerate; every
+        call checks the domain first."""
+        from specialk.prepotentials import DomainError
+
+        with pytest.raises(DomainError):
+            call(Cubic(), [-1j])
 
     def test_vhs_holomorphy_zero_for_all_entries(self):
         for prep in ENTRIES:

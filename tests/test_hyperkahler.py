@@ -87,6 +87,14 @@ class TestResiduals:
         assert hk.quaternion_residual(fr) == 0.0
         assert hk.orthogonality_residual(fr) == 0.0
 
+    def test_ijk_is_k_squared(self):
+        """K is built as IJ, so (IJ)K is K K bit for bit: the IJK = -1
+        defect is the K^2 = -1 defect and is not formed separately."""
+        for prep in ENTRIES:
+            for pt in hk.sample_cotangent_points(prep, 25, seed=13):
+                fr = hk.tangent_split_at(prep, pt)
+                assert np.array_equal(fr.imat @ fr.jmat @ fr.kmat, fr.kmat @ fr.kmat)
+
     def test_quaternion_residual_sees_commuting_pair(self):
         # J = I: I^2 = J^2 = -1 still hold, but IJ + JI = -2 and K = -1
         fr = self.model_frame()

@@ -201,6 +201,20 @@ class TestSplitting:
         with pytest.raises(InconsistentProfileError, match="negative multiplicity"):
             splitting_type(ReesBundle(f, fbar))
 
+    @properties
+    @given(strategies.integers(0, 2**32), strategies.integers(1, 5),
+           strategies.booleans())
+    def test_meet_dim_is_intersection_dim(self, seed, n, conjugate):
+        """dim a + dim b - dim(a + b) is dim(a /\\ b) on every cell of the
+        table, for independent and for conjugate filtration pairs."""
+        rng = XorShift(seed)
+        f = nested_filtration(rng, n)
+        fbar = f.conjugate(RealStructure.conjugation(n)) if conjugate \
+            else nested_filtration(rng, n)
+        for a in f.steps:
+            for b in fbar.steps:
+                assert rees._meet_dim(a, b) == (a & b).dim
+
     def test_splitting_type_validates(self):
         with pytest.raises(ValueError):
             SplittingType((0, 1))
@@ -239,6 +253,21 @@ class TestOracleEquivalence:
         assert splitting_type(b).degrees == (2,)
         assert not purity_oracle(f, fbar, 1)
         assert purity_oracle(f, fbar, 2)
+
+    def test_far_negative_weight_stops_early(self, monkeypatch):
+        """At a weight far below zero every p in [w, 0] gives the piece V,
+        so the oracle says no after a handful of intersections instead of
+        one per step of the range."""
+        calls = []
+        intersection = Subspace.intersection
+        monkeypatch.setattr(Subspace, "__and__",
+                            lambda a, b: calls.append(1) or intersection(a, b))
+        r = RealStructure.conjugation(2)
+        pure = Filtration.from_proper_steps(2, [line(2, ["1", "i"])])
+        assert not purity_oracle(pure, pure.conjugate(r), -10**12)
+        assert len(calls) <= pure.length + 2
+        one_dim = pure_rank_one(1, 1)
+        assert not purity_oracle(one_dim.f, one_dim.fbar, -10**12)
 
     def test_forced_overlap_unbalanced(self):
         r = RealStructure.conjugation(2)
