@@ -652,15 +652,7 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
 
     def contains(self, vec) -> bool:
-        vec = _coerce_vec(vec)
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        if all(e.is_zero() for e in vec):
-            return True
-        if self.dim == 0:
-            return False
-        _, pivots = _kernel.rref(self._rows + (_vec_to_row(vec),), self.ambient_dim)
-        return len(pivots) == self.dim
+        return Subspace.span(self.ambient_dim, [vec]).is_subspace_of(self)
 
     def is_subspace_of(self, other) -> bool:
         self._check_ambient(other)

@@ -558,11 +558,7 @@ def kahler_potential_residual(prep: Prepotential, z, h: float = POTENTIAL_STEP) 
         hess = hessian(pot, z_to_u(z), h=h)
     except (DomainError, FDEvaluationError) as exc:
         raise StencilError(f"shrink step or move point: {exc}") from exc
-    hxx = hess[:n, :n]
-    hpp = hess[n:, n:]
-    hxp = hess[:n, n:]
-    hpx = hess[n:, :n]
-    g_fd = 0.25 * (hxx + hpp) + 0.25j * (hxp - hpx)
+    g_fd = 0.25 * (hess[:n, :n] + hess[n:, n:]) + 0.25j * (hess[:n, n:] - hess[n:, :n])
     return float(np.max(np.abs(g_fd - md.imtau)))
 
 

@@ -20,7 +20,6 @@ from .exact import (
     leading_minors_positive,
     rationalize_matrix,
     real_rep_antilinear,
-    real_rep_linear,
     std_complex_structure,
 )
 
@@ -53,9 +52,9 @@ class NotPureError(ValueError):
 
 
 class RealStructure:
-    """Antilinear involution of C^m, stored as its real 2m x 2m action
-    matrix on stacked (Re v, Im v) coordinates and as the complex m x m
-    matrix S with r(v) = S conj(v)."""
+    """Antilinear involution r(v) = S conj(v) of C^m, stored and checked as
+    the complex m x m matrix S; matrix is its real form [[X, Y], [Y, -X]]
+    for S = X + iY, on stacked (Re v, Im v) coordinates."""
 
     def __init__(self, matrix: ExactMatrix):
         if matrix.rows != matrix.cols or matrix.rows % 2:
@@ -63,16 +62,20 @@ class RealStructure:
         if not matrix.is_real():
             raise ValueError("real structure matrix must have real entries")
         m = matrix.rows // 2
-        ident = ExactMatrix.identity(2 * m)
-        if matrix @ matrix != ident:
-            raise ValueError("real structure must be an involution")
-        jc = std_complex_structure(m)
-        if matrix @ jc != (-(jc @ matrix)):
+        x, y = matrix[:m, :m], matrix[m:, :m]
+        # a real matrix anticommutes with i exactly when it is [[X, Y], [Y, -X]]
+        if matrix[:m, m:] != y or matrix[m:, m:] != -x:
             raise ValueError("real structure must anticommute with i")
-        self.matrix = matrix
+        s = x + y.scale(_I)
+        # r(r(v)) = S conj(S) v
+        if s @ s.conj() != ExactMatrix.identity(m):
+            raise ValueError("real structure must be an involution")
+        self.s = s
         self.m = m
-        # matrix = [[X, Y], [Y, -X]] is the real form of v -> (X + iY) conj(v)
-        self.s = matrix[:m, :m] + matrix[m:, :m].scale(_I)
+
+    @property
+    def matrix(self) -> ExactMatrix:
+        return real_rep_antilinear(self.s)
 
     @classmethod
     def conjugation(cls, m: int) -> "RealStructure":
@@ -98,7 +101,7 @@ class RealStructure:
     def __eq__(self, other):
         if not isinstance(other, RealStructure):
             return NotImplemented
-        return self.matrix == other.matrix
+        return self.s == other.s
 
 
 class Filtration:
@@ -288,15 +291,11 @@ def filtration_to_hodge(f: Filtration, fbar: Filtration, r: RealStructure,
 
 
 def hodge_to_filtration(h: HodgeStructure) -> Filtration:
-    """F^k = (+)_{i >= k} V^{i, p-i}."""
-    steps = []
-    for k in range(0, h.weight + 1):
-        acc = Subspace.zero(h.ambient_dim)
-        for i in range(k, h.weight + 1):
-            acc = acc + h.component(i, h.weight - i)
-        steps.append(acc)
-    steps.append(Subspace.zero(h.ambient_dim))
-    return Filtration(steps)
+    """F^k = F^{k+1} + V^{k, p-k}, that is (+)_{i >= k} V^{i, p-i}."""
+    steps = [Subspace.zero(h.ambient_dim)]
+    for k in range(h.weight, -1, -1):
+        steps.append(steps[-1] + h.component(k, h.weight - k))
+    return Filtration(steps[::-1])
 
 
 @dataclass
@@ -402,16 +401,16 @@ def quaternionic_from_hodge(h: HodgeStructure) -> QuaternionicStructure:
 
 
 def _quaternionic_from_hodge(h: HodgeStructure) -> QuaternionicStructure:
+    """J = r o (P' - P'') with P' - P'' = b diag(1, -1) b^-1, where the
+    columns of b are the bases of V^{1,0} and V^{0,1}: the real form of
+    the antilinear map v -> S conj(P' - P'') conj(v)."""
     vp = h.component(1, 0)
-    vpp = h.component(0, 1)
-    m = h.ambient_dim
-    # b has the bases of V^{1,0} and V^{0,1} as its columns, so the
-    # projection onto V^{1,0} along V^{0,1} is b[:, :d] b^-1[:d, :]
-    b = ExactMatrix.blocks([[vp.basis_matrix], [vpp.basis_matrix]]).T
-    p_prime = b[:, : vp.dim] @ b.inverse()[: vp.dim, :]
-    diff = p_prime + p_prime - ExactMatrix.identity(m)  # P' - P'' = 2P' - 1
-    jmat = h.real_structure.matrix @ real_rep_linear(diff)
-    return QuaternionicStructure(std_complex_structure(m), jmat)
+    d = vp.dim
+    b = ExactMatrix.blocks([[vp.basis_matrix], [h.component(0, 1).basis_matrix]]).T
+    binv = b.inverse()
+    diff = b @ ExactMatrix.blocks([[binv[:d, :]], [-binv[d:, :]]])
+    jmat = real_rep_antilinear(h.real_structure.s @ diff.conj())
+    return QuaternionicStructure(std_complex_structure(h.ambient_dim), jmat)
 
 
 @dataclass

@@ -89,7 +89,8 @@ class HyperkahlerFrame:
 def _frame_blocks(prep: Prepotential, pt: CotangentPoint, jet: bool = False):
     """(md, s, s_inv): the base metric, the frame matrix and its inverse,
     from one read of tau and C; with jet=True also (Gamma_flat, dGamma_flat,
-    dg), read with d^4 F, the jet along which _frame_jet differentiates it."""
+    dg), read with d^4 F, the jet along which structure_derivative_stacks
+    differentiates it."""
     _, md, jac = geometry._checked(prep, pt.z)
     c = prep.third(pt.z)
     gamma, dgamma = geometry._flat_jet(jac, c, prep.fourth(pt.z) if jet else None)
@@ -167,15 +168,18 @@ def twistor_structure_at(prep: Prepotential, pt: CotangentPoint, zeta):
     return a * fr.imat + b * fr.jmat + c * fr.kmat
 
 
-def _frame_jet(prep: Prepotential, pt: CotangentPoint):
-    """The frame at the point and the derivative stacks of I, J, K and gTM
-    over the 4n cotangent coordinates (u, alpha), each [d, a, b] = d_d M_ab.
+def structure_derivative_stacks(prep: Prepotential, pt: CotangentPoint, h: float = 1e-4):
+    """(I, J, K, gTM) at the point, as the frame, and their exact chain-rule
+    derivative stacks over the 4n cotangent coordinates (u, alpha),
+    [d, a, b] = d_d M_ab, from one frame build; they carry rounding only.
 
     Product rule on I = S I_f S^-1, J = S J_f S^-1, K = I J and
     gTM = S^-T G_f S^-1, with dS = -d(S^-1) = [[0, 0], [dW, 0]]:
-    dW = dGamma.alpha along u and Gamma^c along alpha_c.  The only block
-    of dS is lower left, so dS S^-1 = S dS = dS and the conjugations leave
-    commutators with dS."""
+    dW = dGamma.alpha along u (from the catalog's fourth derivatives) and
+    Gamma^c along alpha_c.  The only block of dS is lower left, so
+    dS S^-1 = S dS = dS and the conjugations leave commutators with dS.
+    nijenhuis_at and kahler_form_closedness take the result as _stacks, so
+    one build serves both; h is unused, kept for the callers that pass it."""
     md, s, s_inv, gamma, dgamma, dg = _frame_blocks(prep, pt, jet=True)
     fr = _tangent_split(pt, md, s, s_inv)
     n2 = 2 * prep.n
@@ -193,21 +197,7 @@ def _frame_jet(prep: Prepotential, pt: CotangentPoint):
     d_k = d_i @ fr.jmat + fr.imat @ d_j
     ds_t = ds.transpose(0, 2, 1)
     d_gtm = fr.s_inv.T @ dgtm_f @ fr.s_inv - ds_t @ fr.gtm - fr.gtm @ ds
-    return fr, d_i, d_j, d_k, d_gtm
-
-
-def structure_derivative_stacks(prep: Prepotential, pt: CotangentPoint, h: float = 1e-4):
-    """(I, J, K, gTM) at the point, as the frame, and their derivative
-    stacks over all 4n cotangent coordinates, [d, a, b] = d_d M_ab.
-
-    The stacks are exact chain-rule derivatives of one frame build (the
-    flat connection's u-derivative comes from the catalog's fourth
-    derivatives), so they carry rounding only.  nijenhuis_at and
-    kahler_form_closedness take the result as _stacks, so one build
-    serves both.  h is unused; it stays in the signature for the callers
-    that pass it."""
-    fr, *stacks = _frame_jet(prep, pt)
-    return fr, tuple(stacks)
+    return fr, (d_i, d_j, d_k, d_gtm)
 
 
 def _nijenhuis_from(s, ds):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .exact import ExactComplex, Subspace
 from .hodge import Filtration
@@ -89,11 +90,11 @@ def rees_generators(f: Filtration):
     gens = []
     current = Subspace.zero(f.ambient_dim)
     for k in range(f.length - 1, -1, -1):
-        target = f.step(k)
-        for vec in target.basis:
-            if not current.contains(vec):
+        for vec in f.step(k).basis:
+            grown = current + Subspace.span(f.ambient_dim, [vec])
+            if grown.dim > current.dim:
                 gens.append((k, vec))
-                current = current + Subspace.span(f.ambient_dim, [vec])
+                current = grown
     if not current.is_full():
         raise ValueError("filtration is not complete")
     return gens
@@ -127,12 +128,15 @@ def _meet_dim(a: Subspace, b: Subspace) -> int:
 
 def h0(bundle: ReesBundle, m: int = 0) -> int:
     """Global sections of the twist by m at infinity:
-    h^0 = sum_d dim(F^{-d} /\\ Fbar^{d-m})."""
+    h^0 = sum_d dim(F^{-d} /\\ Fbar^{d-m-twist}).  For 0 <= d <= m + twist
+    both steps are V, so those terms are the rank each; only the at most
+    len F + len Fbar others are intersected."""
     mm = m + bundle.twist
     f, fbar = bundle.f, bundle.fbar
-    return sum(
-        _meet_dim(f.step(-d), fbar.step(d - mm))
-        for d in range(1 - f.length, mm + fbar.length)
+    hi = mm + fbar.length
+    others = chain(range(1 - f.length, min(0, hi)), range(max(0, mm + 1), hi))
+    return bundle.rank * max(mm + 1, 0) + sum(
+        _meet_dim(f.step(-d), fbar.step(d - mm)) for d in others
     )
 
 

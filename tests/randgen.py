@@ -156,3 +156,32 @@ def nested_filtration(rng, n: int, max_extra_steps: int = 3) -> Filtration:
             break
         proper.append(Subspace.span(n, cols[:dim]))
     return Filtration.from_proper_steps(n, proper)
+
+
+def pure_structure(rng, weight: int, m: int) -> HodgeStructure:
+    """Random exact pure weight-p structure on C^m (m even for odd p): the
+    coordinate blocks V^{k,p-k}, with dims symmetric under k -> p - k, and
+    the real structure exchanging block k with block p - k, pushed through
+    a random invertible map."""
+    dims = [0] * (weight + 1)
+    left = m
+    for k in range((weight + 1) // 2):
+        dims[k] = dims[weight - k] = rng.randint(0, left // 2)
+        left -= 2 * dims[k]
+    if weight % 2 == 0:
+        dims[weight // 2] = left
+    else:
+        dims[weight // 2] += left // 2
+        dims[weight - weight // 2] += left // 2
+    starts = [sum(dims[:k]) for k in range(weight + 1)]
+    target = [starts[weight - k] + t for k in range(weight + 1) for t in range(dims[k])]
+    one, zero = ExactComplex(1), ExactComplex(0)
+    perm = ExactMatrix([[one if i == target[j] else zero for j in range(m)] for i in range(m)])
+    g = invertible(rng, m)
+    cols = columns(g)
+    r = RealStructure.from_antilinear(g @ perm @ g.conj().inverse())
+    comps = {
+        (k, weight - k): Subspace.span(m, cols[starts[k]: starts[k] + dims[k]])
+        for k in range(weight + 1)
+    }
+    return HodgeStructure(weight, comps, r)

@@ -381,9 +381,9 @@ class TestHyperkahler:
         from specialk import hyperkahler
 
         built = []
-        frame_jet = hyperkahler._frame_jet
-        monkeypatch.setattr(hyperkahler, "_frame_jet",
-                            lambda *a: built.append(a) or frame_jet(*a))
+        stacks = hyperkahler.structure_derivative_stacks
+        monkeypatch.setattr(hyperkahler, "structure_derivative_stacks",
+                            lambda *a, **k: built.append(a) or stacks(*a, **k))
         assert run(["hk", "nijenhuis", "--entry", "coupled", "--points", "3"]) == 0
         strict_loads(capsys.readouterr().out)
         assert len(built) == 3

@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies
 
-from randgen import matrix, scalar, vector
+from randgen import matrix, properties, scalar, vector
 from specialk.exact import (
     MAX_LITERAL_EXPONENT,
     ExactComplex,
@@ -241,3 +242,48 @@ class TestSubspace:
         img = s.apply(m)
         for b in s.basis:
             assert img.contains(m @ b)
+
+
+def _lattice_sample(seed, n):
+    """Three subspaces of C^n spanned by random subsets of one pool of
+    n + 1 vectors with entries in {0, +-1} + {0, +-1} i, so that sums and
+    meets often coincide; returns them, the pool and the generator."""
+    rng = XorShift(seed)
+    pool = [vector(rng, n, num=1, den=1) for _ in range(n + 1)]
+    spaces = [Subspace.span(n, [v for v in pool if rng.randint(0, 1)]) for _ in range(3)]
+    return spaces, pool, rng
+
+
+class TestSubspaceLattice:
+    @properties
+    @given(strategies.integers(0, 2**32), strategies.integers(1, 5))
+    def test_sum_and_meet_laws(self, seed, n):
+        (u, w, x), _, _ = _lattice_sample(seed, n)
+        for a, b in ((u, w), (w, x), (u, x)):
+            assert a + b == b + a and a & b == b & a
+            assert a & (a + b) == a and a + (a & b) == a
+        assert (u + w) + x == u + (w + x)
+        assert (u & w) & x == u & (w & x)
+        below = u & x  # modular law for a subspace of x
+        assert below + (w & x) == (below + w) & x
+
+    @properties
+    @given(strategies.integers(0, 2**32), strategies.integers(1, 5))
+    def test_order_is_read_off_sum_and_meet(self, seed, n):
+        (u, w, x), _, _ = _lattice_sample(seed, n)
+        for a, b in ((u, w), (w, u), (u & w, w), (u, u + w), (x & u, x), (u, Subspace.full(n))):
+            assert a.is_subspace_of(b) == (a + b == b) == (a & b == a)
+
+    @properties
+    @given(strategies.integers(0, 2**32), strategies.integers(1, 5))
+    def test_contains_is_the_rank_of_the_stacked_rows(self, seed, n):
+        (u, _, _), pool, rng = _lattice_sample(seed, n)
+        coeffs = vector(rng, u.dim)
+        combo = [sum((c * b[j] for c, b in zip(coeffs, u.basis)), ExactComplex(0))
+                 for j in range(n)]
+        for v in (*pool, combo, [0] * n, vector(rng, n)):
+            assert u.contains(v) == (ExactMatrix([*u.basis, v]).rank() == u.dim)
+
+    def test_contains_checks_the_length(self):
+        with pytest.raises(ValueError, match="vector length does not match ambient dimension"):
+            Subspace.full(2).contains(["1", "0", "0"])

@@ -12,12 +12,20 @@ from randgen import (
     matrix,
     polarized_weight1,
     properties,
+    pure_structure,
     quaternionic_pair,
     standard_quaternionic,
     weight1_structure,
 )
 from specialk import _kernel
-from specialk.exact import ExactComplex, ExactMatrix, Subspace, std_complex_structure
+from specialk.exact import (
+    ExactComplex,
+    ExactMatrix,
+    Subspace,
+    real_rep_antilinear,
+    real_rep_linear,
+    std_complex_structure,
+)
 from specialk.hodge import (
     Filtration,
     HodgeStructure,
@@ -55,6 +63,31 @@ class TestRealStructure:
         # multiplication by i commutes with itself, so it is not a real structure
         with pytest.raises(ValueError):
             RealStructure(std_complex_structure(2))
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_stored_as_s_with_real_form_on_demand(self, m):
+        rng = XorShift(71 + m)
+        for _ in range(5):
+            r = weight1_structure(rng, m).real_structure
+            assert r.matrix == real_rep_antilinear(r.s)
+            assert RealStructure(r.matrix) == r
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            # the identity is an involution but not of the form [[X, Y], [Y, -X]]
+            ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "must anticommute with i"),
+            ([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]], "must anticommute with i"),
+            # S = 2: antilinear, but S conj(S) = 4
+            ([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]], "must be an involution"),
+            # S = [[1, 1], [0, 1]]: S conj(S) = [[1, 2], [0, 1]]
+            ([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, -1], [0, 0, 0, -1]], "must be an involution"),
+        ],
+        ids=["identity", "not-block-form", "scaled", "shear"],
+    )
+    def test_each_check_has_its_message(self, entries, message):
+        with pytest.raises(ValueError, match=f"real structure {message}$"):
+            RealStructure(ExactMatrix([[ExactComplex(e) for e in row] for row in entries]))
 
 
 class TestFiltration:
@@ -125,6 +158,20 @@ class TestFiltrationToHodge:
             f = hodge_to_filtration(h)
             h2 = filtration_to_hodge(f, f.conjugate(h.real_structure), h.real_structure, 1)
             assert hodge_to_filtration(h2) == f
+
+    @pytest.mark.parametrize("weight", [0, 1, 2, 3])
+    def test_filtration_is_the_nested_sums(self, weight):
+        """F^k from the step above equals the sum of every V^{i, p-i}, i >= k."""
+        rng = XorShift(89 + weight)
+        for m in range(2, 7, 2 if weight % 2 else 1):
+            h = pure_structure(rng, weight, m)
+            sums = []
+            for k in range(weight + 1):
+                acc = Subspace.zero(m)
+                for i in range(k, weight + 1):
+                    acc = acc + h.component(i, weight - i)
+                sums.append(acc)
+            assert hodge_to_filtration(h).steps == (*sums, Subspace.zero(m))
 
     def test_conjugation_dim_symmetry(self):
         rng = XorShift(107)
@@ -277,6 +324,19 @@ class TestQuaternionicFromHodge:
             h = weight1_structure(rng, 4)
             qs = quaternionic_from_hodge(h)
             assert qs.imat @ qs.jmat == (-(qs.jmat @ qs.imat))
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_j_is_real_form_of_s_conj_projection_difference(self, m):
+        """J read off S equals the 2m x 2m product R (2P' - 1)."""
+        rng = XorShift(97 + m)
+        for _ in range(5):
+            h = weight1_structure(rng, m)
+            vp, d = h.component(1, 0), m // 2
+            b = ExactMatrix.blocks([[vp.basis_matrix], [h.component(0, 1).basis_matrix]]).T
+            p_prime = b[:, :d] @ b.inverse()[:d, :]
+            diff = p_prime + p_prime - ExactMatrix.identity(m)
+            expect = h.real_structure.matrix @ real_rep_linear(diff)
+            assert quaternionic_from_hodge(h).jmat == expect
 
     def test_wrong_weight_rejected(self):
         r = RealStructure.conjugation(1)

@@ -188,7 +188,7 @@ class TestAnalyticStacks:
             return np.stack([fr.imat, fr.jmat, fr.kmat, fr.gtm])
 
         for pt in hk.sample_cotangent_points(prep, 64, seed=4):
-            _, *stacks = hk._frame_jet(prep, pt)
+            _, stacks = hk.structure_derivative_stacks(prep, pt)
             analytic = np.stack(stacks)
             stencil = np.moveaxis(fd.jacobian4(frame_fields, pt.coords, h=1e-4), -1, 1)
             scale = max(1.0, float(np.max(np.abs(stencil))))

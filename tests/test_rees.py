@@ -123,6 +123,32 @@ class TestSections:
             capped = [min(i, 4) for i in incs]
             assert capped == sorted(capped)
 
+    @properties
+    @given(strategies.integers(0, 2**32), strategies.integers(1, 4),
+           strategies.sampled_from([-3, 0, 2]))
+    def test_matches_the_term_by_term_sum(self, seed, n, twist):
+        rng = XorShift(seed)
+        b = ReesBundle(nested_filtration(rng, n), nested_filtration(rng, n), twist=twist)
+        for m in range(-8, 9):
+            mm = m + twist
+            naive = sum(rees._meet_dim(b.f.step(-d), b.fbar.step(d - mm))
+                        for d in range(1 - b.f.length, mm + b.fbar.length))
+            assert h0(b, m) == naive
+
+    def test_intersects_at_most_len_f_plus_len_fbar_pairs(self, monkeypatch):
+        """At m = 10^9 every term but a few meets V with V and counts as the
+        rank, so the count is answered at once."""
+        rng = XorShift(67)
+        meet, calls = rees._meet_dim, []
+        monkeypatch.setattr(rees, "_meet_dim", lambda a, b: calls.append(1) or meet(a, b))
+        m = 10**9
+        for twist in (-3, 0, 2):
+            b = ReesBundle(nested_filtration(rng, 4), nested_filtration(rng, 4), twist=twist)
+            degrees = splitting_type(b).degrees
+            calls.clear()
+            assert h0(b, m) == sum(max(a + m + 1, 0) for a in degrees)
+            assert len(calls) <= b.f.length + b.fbar.length
+
 
 class TestSplitting:
     def test_pure_weight_one_is_ones(self):
