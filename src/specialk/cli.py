@@ -149,7 +149,8 @@ def _load_rees_input(path):
 def cmd_rees(args) -> int:
     try:
         filt, fbar = _load_rees_input(args.file)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # the JSON reader raises RecursionError on arrays nested too deeply
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
@@ -237,11 +238,7 @@ def cmd_hk(args) -> int:
 
 
 def _twistor_at(prep, pt, args):
-    try:
-        degrees = list(hyperkahler.twistor_normal_bundle_at(prep, pt).degrees)
-    except hyperkahler.RationalizationError as exc:
-        degrees = None
-        print(f"warning: {exc}", file=sys.stderr)
+    degrees = list(hyperkahler.twistor_normal_bundle_at(prep, pt).degrees)
     ok = degrees == [1] * (2 * prep.n)
     return _cotangent_sample(prep, pt, ok, splitting=degrees)
 
@@ -283,9 +280,9 @@ def _positive_float(text):
     return value
 
 
-def _add_sweep_flags(p, tol, step, points=8):
+def _add_sweep_flags(p, tol, step):
     p.add_argument("--entry", required=True, help="catalog selector, e.g. swlog(lambda=1)")
-    p.add_argument("--points", type=_point_count, default=points)
+    p.add_argument("--points", type=_point_count, default=8)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--tol", type=_positive_float, default=tol)
     p.add_argument("--step", type=_positive_float, default=step)

@@ -138,10 +138,10 @@ class ExactComplex:
         return complex(self.re, self.im)
 
     @staticmethod
-    def from_complex(z, max_denominator: int = 10**12):
-        """Nearest Gaussian rational with bounded denominators; returns
-        (value, absolute rounding error)."""
-        re, im, err = _rationalize(z, max_denominator)
+    def from_complex(z):
+        """Nearest Gaussian rational with denominators at most
+        MAX_DENOMINATOR; returns (value, absolute rounding error)."""
+        re, im, err = _rationalize(z)
         return ExactComplex(re, im), err
 
     # a term runs to the next sign, except the sign of an exponent (1e-5)
@@ -222,15 +222,21 @@ def _literal_fraction(token, text):
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _rationalize(z, max_denominator):
+# Denominator bound of the float -> rational bridge.  Each part of a double
+# lies within 1 / (2 MAX_DENOMINATOR) of some k / MAX_DENOMINATOR, so the
+# bridge's error on a finite complex double is below 1e-12.
+MAX_DENOMINATOR = 10**12
+
+
+def _rationalize(z):
     """(re, im, absolute error) of the nearest Gaussian rational to z with
-    denominators at most max_denominator.  The error is taken between the
+    denominators at most MAX_DENOMINATOR.  The error is taken between the
     rationals and the exact binary value of z before any rounding, so it
     stays visible below float resolution."""
     z = complex(z)
     x, y = Fraction(z.real), Fraction(z.imag)
-    re = x.limit_denominator(max_denominator)
-    im = y.limit_denominator(max_denominator)
+    re = x.limit_denominator(MAX_DENOMINATOR)
+    im = y.limit_denominator(MAX_DENOMINATOR)
     return re, im, hypot(float(re - x), float(im - y))
 
 
@@ -754,14 +760,14 @@ def std_complex_structure(m: int) -> ExactMatrix:
     return real_rep_linear(ExactMatrix.diagonal([_I] * m))
 
 
-def rationalize_matrix(array, max_denominator: int = 10**12):
+def rationalize_matrix(array):
     """ExactMatrix nearest to a float matrix; returns (matrix, max error)."""
     worst = 0.0
     rows = []
     for row in array:
         parts = []
         for v in row:
-            re, im, err = _rationalize(v, max_denominator)
+            re, im, err = _rationalize(v)
             parts += (re, im)
             worst = max(worst, err)
         rows.append(_row_from_parts(parts))

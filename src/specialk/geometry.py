@@ -538,7 +538,7 @@ def check_special_conditions(prep: Prepotential, z, tol: float = 1e-5) -> Equati
     return EquationReport(residuals=residuals, tol=tol)
 
 
-def kahler_potential_residual(prep: Prepotential, z, h: float = POTENTIAL_STEP) -> float:
+def kahler_potential_residual(prep: Prepotential, z) -> float:
     """|Im tau - dd-bar K| for K = Im(sum w_i conj(z_i)), by second
     differences; validates the metric convention.
 
@@ -555,7 +555,7 @@ def kahler_potential_residual(prep: Prepotential, z, h: float = POTENTIAL_STEP) 
         return float(np.imag(np.sum(w * np.conj(zz))))
 
     try:
-        hess = hessian(pot, z_to_u(z), h=h)
+        hess = hessian(pot, z_to_u(z), h=POTENTIAL_STEP)
     except (DomainError, FDEvaluationError) as exc:
         raise StencilError(f"shrink step or move point: {exc}") from exc
     g_fd = 0.25 * (hess[:n, :n] + hess[n:, n:]) + 0.25j * (hess[:n, n:] - hess[n:, :n])
@@ -583,8 +583,8 @@ class LagrangianReport:
     loop_integral: float
     pullback_residual: float
 
-    def passed(self, tol_loop=1e-6, tol_pullback=1e-7) -> bool:
-        return self.loop_integral < tol_loop and self.pullback_residual < tol_pullback
+    def passed(self) -> bool:
+        return self.loop_integral < 1e-6 and self.pullback_residual < 1e-7
 
 
 def lagrangian_graph_check(prep: Prepotential, center, radius: float = 0.1) -> LagrangianReport:
@@ -609,11 +609,11 @@ def lagrangian_graph_check(prep: Prepotential, center, radius: float = 0.1) -> L
     return LagrangianReport(loop_integral=float(abs(total)), pullback_residual=pull)
 
 
-def sample_points(prep: Prepotential, count: int, seed: int,
-                  h: float = 1e-5, margin: float = 10.0, max_tries: int = 500):
+def sample_points(prep: Prepotential, count: int, seed: int, h: float = 1e-5):
     """Seeded uniform draws from the entry's sample box, rejecting points
-    closer than max(margin*h, 2*POTENTIAL_STEP) to the domain boundary
-    (probed coordinatewise), so the widest stencil of a sweep stays inside."""
+    closer than max(10 h, 2 POTENTIAL_STEP) to the domain boundary (probed
+    coordinatewise), so the widest stencil of a sweep stays inside;
+    SamplingError after 500 draws per requested point."""
     if count < 1:
         raise ValueError("need count >= 1")
     rng = XorShift(seed)
@@ -621,9 +621,9 @@ def sample_points(prep: Prepotential, count: int, seed: int,
     if len(box) != 2 * prep.n:
         raise ValueError(f"{prep.name}: sample box has wrong length")
     pts = []
-    eps = max(margin * h, 2.0 * POTENTIAL_STEP)
+    eps = max(10.0 * h, 2.0 * POTENTIAL_STEP)
     tries = 0
-    limit = max_tries * count
+    limit = 500 * count
     while len(pts) < count:
         tries += 1
         if tries > limit:

@@ -323,8 +323,10 @@ def check_polarization(h: HodgeStructure, q: Polarization) -> PolarizationReport
     component (verified via Gram-matrix leading minors).
 
     With the component bases stacked as the rows of B, every pairing
-    Q(x, y) is an entry of B Q B^T, and every Q(x, r(y)) one of
-    B Q S conj(B)^T, where r(v) = S conj(v)."""
+    Q(x, r(y)) is an entry of B Q S conj(B)^T, where r(v) = S conj(v).
+    Since r(V^{a,b}) = V^{b,a}, its block (V^{k,l}, V^{a,b}) holds the
+    pairings of V^{k,l} with V^{b,a}: orthogonality is that every
+    off-diagonal block vanishes, positivity is read off the diagonal."""
     if q.q.rows != h.ambient_dim:
         raise ValueError("polarization dimension mismatch")
     parity = q.weight == h.weight
@@ -335,14 +337,12 @@ def check_polarization(h: HodgeStructure, q: Polarization) -> PolarizationReport
         spans[key] = slice(start, start + h.components[key].dim)
         start += h.components[key].dim
     b = ExactMatrix.blocks([[h.components[key].basis_matrix] for key in keys])
-    pairs = b @ q.q @ b.T
     conj_pairs = b @ (q.q @ h.real_structure.s) @ b.conj().T
-    # conjugate components pair; everything else is orthogonal
     ortho = all(
-        pairs[spans[(k, l)], spans[other]].is_zero()
-        for k, l in keys
+        conj_pairs[spans[key], spans[other]].is_zero()
+        for key in keys
         for other in keys
-        if other != (l, k)
+        if other != key
     )
     positivity = {}
     for k, l in keys:
@@ -512,8 +512,7 @@ def tangent_hodge_structure(n: int) -> HodgeStructure:
     return filtration_to_hodge(filt, filt.conjugate(rstruct), rstruct, 1)
 
 
-def vhs_from_special_kahler(prep, points, tol: float = 1e-5,
-                            max_denominator: int = 10**12):
+def vhs_from_special_kahler(prep, points, tol: float = 1e-5):
     """Pointwise weight-1 structure on the complexified tangent space with
     the omega-based polarization (sign convention Q = -omega, flagged in
     the report), plus the holomorphic-subbundle residual.
@@ -526,7 +525,7 @@ def vhs_from_special_kahler(prep, points, tol: float = 1e-5,
         z = prep.as_point(z)
         _, md, jac = geometry._checked(prep, z)
         hol = geometry._holomorphy_residual(geometry._flat_jet(jac, prep.third(z))[0])
-        q_exact, err_q = rationalize_matrix(-md.omega.astype(complex), max_denominator)
+        q_exact, err_q = rationalize_matrix(-md.omega.astype(complex))
         pure = True
         pol = None
         try:

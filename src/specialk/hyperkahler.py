@@ -32,7 +32,6 @@ from .exact import ExactMatrix, rationalize_matrix, std_complex_structure
 from .prepotentials import Prepotential
 
 __all__ = [
-    "RationalizationError",
     "CotangentPoint",
     "HyperkahlerFrame",
     "tangent_split_at",
@@ -48,10 +47,6 @@ __all__ = [
     "correspondence_check",
     "sample_cotangent_points",
 ]
-
-
-class RationalizationError(RuntimeError):
-    """Float data too far from rational for the exact pipeline."""
 
 
 @dataclass(frozen=True)
@@ -246,37 +241,27 @@ def kahler_form_closedness(prep: Prepotential, pt: CotangentPoint, h: float = 1e
     return out
 
 
-def _exact_quaternionic_at(prep: Prepotential, pt: CotangentPoint,
-                           max_denominator: int, max_error: float):
+def _exact_quaternionic_at(prep: Prepotential, pt: CotangentPoint):
     """Rationalize g and build the exact pair in the (horizontal, vertical)
     frame: I = blockdiag(I_base, I_base^T), J = [[0, -g^{-1}], [g, 0]].
 
     The coordinate pair is the frame pair conjugated by the frame matrix S.
     An exact conjugation is an isomorphism of quaternionic structures, so
     it cannot change the Rees splitting type; g is the only float datum."""
-    g_exact, err = rationalize_matrix(
-        geometry.metric_at(prep, pt.z).g_real.astype(complex), max_denominator
-    )
-    if err > max_error:
-        raise RationalizationError(
-            f"point too ill-conditioned (rationalization error {err:.3e})"
-        )
+    g_exact, _ = rationalize_matrix(geometry.metric_at(prep, pt.z).g_real.astype(complex))
     n2 = 2 * prep.n
     ibase = -std_complex_structure(prep.n)
     zero = ExactMatrix.zeros(n2, n2)
     i_frame = ExactMatrix.blocks([[ibase, zero], [zero, ibase.T]])
     j_frame = ExactMatrix.blocks([[zero, -g_exact.inverse()], [g_exact, zero]])
-    return hodge.QuaternionicStructure(i_frame, j_frame), err
+    return hodge.QuaternionicStructure(i_frame, j_frame)
 
 
-def twistor_normal_bundle_at(prep: Prepotential, pt: CotangentPoint,
-                             max_denominator: int = 10**12,
-                             max_error: float = 1e-9) -> rees.SplittingType:
+def twistor_normal_bundle_at(prep: Prepotential, pt: CotangentPoint) -> rees.SplittingType:
     """Splitting type of the Rees bundle of the pointwise weight-1 Hodge
     structure associated to the quaternionic pair on T(T*M); the normal
     bundle of the twistor line through the point.  Expected (1, ..., 1)."""
-    qs, _ = _exact_quaternionic_at(prep, pt, max_denominator, max_error)
-    chart = hodge.hodge_from_quaternionic(qs)
+    chart = hodge.hodge_from_quaternionic(_exact_quaternionic_at(prep, pt))
     filt = hodge.hodge_to_filtration(chart.hodge)
     fbar = filt.conjugate(chart.hodge.real_structure)
     return rees.splitting_type(rees.ReesBundle(filt, fbar))
@@ -316,18 +301,15 @@ def correspondence_check(prep: Prepotential, pt: CotangentPoint) -> float:
     return float(np.max(np.abs(fr.jmat - j_via_hodge)))
 
 
-def sample_cotangent_points(prep: Prepotential, count: int, seed: int,
-                            h: float = 1e-5, alpha_scale: float = 1.0):
+def sample_cotangent_points(prep: Prepotential, count: int, seed: int, h: float = 1e-5):
     """Seeded cotangent points: base points from the entry's box, covector
-    components uniform in [-alpha_scale, alpha_scale]."""
+    components uniform in [-1, 1]."""
     from .utils import XorShift
 
     base = geometry.sample_points(prep, count, seed, h=h)
     rng = XorShift(seed ^ 0x5DEECE66D)
     pts = []
     for z in base:
-        alpha = np.array(
-            [rng.uniform(-alpha_scale, alpha_scale) for _ in range(2 * prep.n)]
-        )
+        alpha = np.array([rng.uniform(-1.0, 1.0) for _ in range(2 * prep.n)])
         pts.append(CotangentPoint(z=z, alpha=alpha))
     return pts

@@ -84,28 +84,17 @@ class Prepotential:
 
 
 class Quadratic(Prepotential):
-    """F = (1/2) z^T tau0 z with constant symmetric tau0, Im tau0 > 0.
+    """F = (i/2) sum z_k^2, that is (1/2) z^T tau0 z with tau0 = i Id.
 
     The flat model: all connections coincide and the Higgs field vanishes.
     """
 
-    def __init__(self, n: int = 1, tau0=None):
+    def __init__(self, n: int = 1):
         if not isinstance(n, numbers.Integral) or not 1 <= n <= _QUADRATIC_MAX_N:
             raise ValueError(
                 f"quadratic: n must be an integer from 1 to {_QUADRATIC_MAX_N}, got {n!r}")
         self.n = int(n)
-        if tau0 is None:
-            tau0 = 1j * np.eye(self.n)
-        tau0 = np.asarray(tau0, dtype=complex)
-        if tau0.shape != (self.n, self.n):
-            raise ValueError("tau0 shape mismatch")
-        # every geometry call holds tau to exact symmetry
-        if not np.array_equal(tau0, tau0.T):
-            raise ValueError("tau0 must be exactly symmetric")
-        evals = np.linalg.eigvalsh(tau0.imag)
-        if np.min(evals) <= 0:
-            raise ValueError("Im tau0 must be positive definite")
-        self.tau0 = tau0
+        self.tau0 = 1j * np.eye(self.n)
         self.name = "quadratic"
         self.sample_box = tuple((-2.0, 2.0) for _ in range(2 * self.n))
 
@@ -295,14 +284,21 @@ def get_entry(name: str) -> CatalogEntry:
 
 
 _SPEC_RE = _re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*(?:\((.*)\))?\s*$")
+_DIGIT_RUN = _re.compile(r"[+-]?\d+(?:_\d+)*")
 
 
-def _parse_value(text: str):
+def _parse_value(text: str, where: str):
+    """Value of a selector parameter; where names it in a refusal."""
     text = text.strip()
     try:
         return int(text)
     except ValueError:
-        pass
+        # int() refuses a digit run past its digit limit, and float() would
+        # read the run as inf
+        if _DIGIT_RUN.fullmatch(text):
+            digits = sum(c.isdigit() for c in text)
+            raise ValueError(
+                f"{where}={text[:12]}... has {digits} digits, too many to read") from None
     try:
         return float(text)
     except ValueError:
@@ -332,5 +328,5 @@ def parse_entry(spec: str) -> Prepotential:
             key = key.strip()
             if key in params:
                 raise ValueError(f"catalog entry {name!r} repeats parameter {key!r}")
-            params[key] = _parse_value(val)
+            params[key] = _parse_value(val, f"{name}: {key}")
     return entry.make(**params)

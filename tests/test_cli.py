@@ -122,6 +122,9 @@ class TestVerify:
             ["verify", "--entry", "swlog(lambda=nan)"],
             ["verify", "--entry", "swlog(lambda=inf)"],
             ["verify", "--entry", "quadratic(n=13)"],
+            # past int()'s digit limit; float() would read the run as inf
+            pytest.param(["verify", "--entry", "quadratic(n=" + "9" * 5000 + ")"],
+                         id="verify --entry quadratic(n=<5000 nines>)"),
         ],
         ids=lambda a: " ".join(a),
     )
@@ -271,6 +274,17 @@ class TestRees:
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         path = write(tmp_path, "bad.json", "{\"dim\": 2, \"steps\": ")
         assert run(["rees", "split", path]) == 2
+
+    def test_deeply_nested_json_is_one_line_usage_error(self, tmp_path, capsys):
+        """The JSON reader raises RecursionError on arrays nested this deep:
+        malformed input (exit 2, one line), not a failed check."""
+        depth = 200_000
+        text = '{"dim": 1, "steps": [[' + "[" * depth + "]" * depth + "]]}"
+        assert run(["rees", "split", write(tmp_path, "deep.json", text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed input: ")
+        assert captured.err.count("\n") == 1
 
     def test_inconsistent_chain_is_data_error(self, tmp_path, capsys):
         obj = {

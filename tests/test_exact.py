@@ -1,22 +1,36 @@
 """Exact scalars, matrices and subspaces."""
 
 from fractions import Fraction
+from math import hypot
 
 import pytest
 from hypothesis import given, strategies
 
 from randgen import matrix, properties, scalar, vector
 from specialk.exact import (
+    MAX_DENOMINATOR,
     MAX_LITERAL_EXPONENT,
     ExactComplex,
     ExactMatrix,
     Subspace,
+    _rationalize,
     rationalize_matrix,
     real_rep_antilinear,
     real_rep_linear,
     std_complex_structure,
 )
 from specialk.utils import XorShift
+
+
+# doubles of every scale: subnormals, magnitudes from 1e-300 to 1e300, and
+# exact dyadics k / 2^j, most with denominators far beyond the bound
+_DOUBLES = strategies.one_of(
+    strategies.floats(-1e-300, 1e-300),
+    strategies.builds(lambda m, e: m * 10.0**e,
+                      strategies.floats(-10.0, 10.0), strategies.integers(-300, 300)),
+    strategies.builds(lambda k, j: k / 2**j,
+                      strategies.integers(-(2**53), 2**53), strategies.integers(0, 1000)),
+)
 
 
 class TestExactComplex:
@@ -111,19 +125,32 @@ class TestExactComplex:
         val, err = ExactComplex.from_complex(0.5 + 0.25j)
         assert val == ExactComplex(Fraction(1, 2), Fraction(1, 4))
         assert err == 0.0
-        val, err = ExactComplex.from_complex(2.0 / 3.0, max_denominator=10**6)
-        assert val.im == 0
+        val, err = ExactComplex.from_complex(2.0 / 3.0)
+        assert val == ExactComplex(Fraction(2, 3))
         assert err == abs(float(val.re - Fraction(2.0 / 3.0)))
-        assert err < 1e-6
+        assert err < 1e-12
 
     def test_rationalization_error_below_float_resolution(self):
         """At 10^12 denominators the rational rounds back to the same
         double, so only the exact difference shows the error."""
         x = 0.7316151209613437
-        val, err = ExactComplex.from_complex(x, max_denominator=10**12)
+        val, err = ExactComplex.from_complex(x)
         assert val.to_complex() == x
         assert err == abs(float(val.re - Fraction(x)))
         assert 1e-26 < err < 1e-25
+
+    @properties
+    @given(_DOUBLES, _DOUBLES)
+    def test_rationalization_error_is_bounded(self, x, y):
+        """Each part is CPython's closest rational with denominator at most
+        MAX_DENOMINATOR, so it lies within 1 / (2 MAX_DENOMINATOR) of the
+        double and the error stays below 1e-12 at every scale: the bridge
+        needs no guard on it."""
+        re, im, err = _rationalize(complex(x, y))
+        assert re == Fraction(x).limit_denominator(MAX_DENOMINATOR)
+        assert im == Fraction(y).limit_denominator(MAX_DENOMINATOR)
+        assert err == hypot(float(re - Fraction(x)), float(im - Fraction(y)))
+        assert err < 1e-12
 
 
 class TestExactMatrix:

@@ -441,7 +441,7 @@ class TestSampling:
 
     def test_margin_and_domain(self):
         for prep in ENTRIES:
-            for z in geo.sample_points(prep, 10, seed=5, h=1e-3, margin=10):
+            for z in geo.sample_points(prep, 10, seed=5, h=1e-3):
                 u = geo.z_to_u(z)
                 for d in range(2 * prep.n):
                     for s in (-1, 1):
@@ -462,7 +462,7 @@ class TestSampling:
         # impossible box: below the upper half plane
         prep.sample_box = ((-1.0, 1.0), (-2.0, -1.0))
         with pytest.raises(geo.SamplingError):
-            geo.sample_points(prep, 3, seed=1, max_tries=10)
+            geo.sample_points(prep, 3, seed=1)
 
 
 class TestPointData:
