@@ -104,7 +104,8 @@ def _verify_at(prep, z, args):
         "pure_weight_1": vhs["pure_weight_1"],
         "polarization": vhs["polarization_pass"],
     }
-    # the second-difference potential check has a ~1e-7 accuracy floor;
+    # the potential check keeps the 1e-7 floor of the second differences it
+    # replaced as a contract (its Cauchy integrals sit near 1e-12);
     # everything else is held to the requested tolerance
     ok = (
         all(v < args.tol for k, v in residuals.items() if k != "kahler_potential")

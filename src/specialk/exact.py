@@ -141,8 +141,10 @@ class ExactComplex:
     def from_complex(z):
         """Nearest Gaussian rational with denominators at most
         MAX_DENOMINATOR; returns (value, absolute rounding error)."""
-        re, im, err = _rationalize(z)
-        return ExactComplex(re, im), err
+        z = complex(z)
+        p, q, err_re = _limit(z.real)
+        r, s, err_im = _limit(z.imag)
+        return ExactComplex(Fraction(p, q), Fraction(r, s)), hypot(err_re, err_im)
 
     # a term runs to the next sign, except the sign of an exponent (1e-5)
     _TERM = _re.compile(r"[+-]?(?:[eE][+-]|[^+-])+")
@@ -228,16 +230,34 @@ def _literal_fraction(token, text):
 MAX_DENOMINATOR = 10**12
 
 
-def _rationalize(z):
-    """(re, im, absolute error) of the nearest Gaussian rational to z with
-    denominators at most MAX_DENOMINATOR.  The error is taken between the
-    rationals and the exact binary value of z before any rounding, so it
+def _limit(x):
+    """(p, q, error) for the closest rational p / q to the double x with
+    0 < q <= MAX_DENOMINATOR, by the rule of CPython's
+    Fraction.limit_denominator in plain ints: the last convergent of x's
+    continued fraction within the bound or the one semiconvergent after it,
+    whichever is closer, the convergent on a tie.  p / q is in lowest
+    terms.  The error p / q - x is taken against the exact binary value of
+    x and rounded once, as float(Fraction(p, q) - Fraction(x)) is, so it
     stays visible below float resolution."""
-    z = complex(z)
-    x, y = Fraction(z.real), Fraction(z.imag)
-    re = x.limit_denominator(MAX_DENOMINATOR)
-    im = y.limit_denominator(MAX_DENOMINATOR)
-    return re, im, hypot(float(re - x), float(im - y))
+    n0, d0 = x.as_integer_ratio()
+    if d0 <= MAX_DENOMINATOR:
+        return n0, d0, 0.0
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = n0, d0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > MAX_DENOMINATOR:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (MAX_DENOMINATOR - q0) // q1
+    ps, qs = p0 + k * p1, q0 + k * q1
+    # both errors over the common d0, compared by cross-multiplying
+    e1, es = p1 * d0 - n0 * q1, ps * d0 - n0 * qs
+    if abs(e1) * qs <= abs(es) * q1:
+        return p1, q1, e1 / (q1 * d0)
+    return ps, qs, es / (qs * d0)
 
 
 _I = ExactComplex(0, 1)
@@ -761,16 +781,22 @@ def std_complex_structure(m: int) -> ExactMatrix:
 
 
 def rationalize_matrix(array):
-    """ExactMatrix nearest to a float matrix; returns (matrix, max error)."""
+    """ExactMatrix nearest to a float matrix; returns (matrix, max error).
+    Each part goes through _limit, and each row is written canonical at
+    once: with den the lcm of the reduced denominators, no prime divides
+    den and every numerator."""
     worst = 0.0
     rows = []
     for row in array:
         parts = []
         for v in row:
-            re, im, err = _rationalize(v)
-            parts += (re, im)
-            worst = max(worst, err)
-        rows.append(_row_from_parts(parts))
+            v = complex(v)
+            p, q, err_re = _limit(v.real)
+            r, s, err_im = _limit(v.imag)
+            parts += ((p, q), (r, s))
+            worst = max(worst, hypot(err_re, err_im))
+        den = lcm(*(q for _, q in parts))
+        rows.append((den, *(p * (den // q) for p, q in parts)))
     if not rows:
         raise ValueError("ExactMatrix needs at least one row")
     ncols = (len(rows[0]) - 1) // 2

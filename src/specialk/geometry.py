@@ -20,9 +20,11 @@ Connections are assembled analytically from the catalog's third
 derivatives, and their first derivatives (curvature, covariant exterior
 derivatives) by the chain rule from the fourth, so the equation suite
 takes no stencil and its residuals sit at rounding level.  Each public
-call reads tau, C, d^4 F and w at most once.  Finite differences remain
-only in kahler_potential_residual, the independent check of the metric
-convention.
+call reads tau, C, d^4 F and w at most once.  kahler_potential_residual,
+the independent check of the metric convention, differentiates w by
+Cauchy's integral formula on small circles around the point, so no check
+of a sweep takes a finite difference; curvature_of_connection keeps
+central differences as the tests' reference.
 
 A call that needs the metric checks in one order (_checked): the domain,
 an exactly symmetric tau, a positive metric Im tau, then the flat chart.
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fd import FDEvaluationError, hessian, jacobian
+from .fd import jacobian
 from .prepotentials import DomainError, Prepotential
 from .utils import XorShift
 
@@ -72,9 +74,13 @@ __all__ = [
 ]
 
 
-# step of the Kahler-potential second differences; its diagonal stencil
-# points lie 2 * POTENTIAL_STEP from the sample point
+# radius of the potential check's Cauchy circles per unit of the entry's
+# length scale; the sampler keeps 2 * POTENTIAL_STEP * scale to the boundary
 POTENTIAL_STEP = 3e-4
+
+# nodes of the trapezoid rule on each circle: the fourth roots of unity,
+# exact in binary, so every node lies on a real-chart axis
+_CIRCLE = np.array([1.0, 1j, -1.0, -1j])
 
 
 class MetricDegenerateError(ValueError):
@@ -539,27 +545,32 @@ def check_special_conditions(prep: Prepotential, z, tol: float = 1e-5) -> Equati
 
 
 def kahler_potential_residual(prep: Prepotential, z) -> float:
-    """|Im tau - dd-bar K| for K = Im(sum w_i conj(z_i)), by second
-    differences; validates the metric convention.
+    """|Im tau - dd-bar K| for K = Im(sum w_i conj(z_i)); validates the
+    metric convention.
 
-    The step balances second-difference rounding (eps |K| / h^2) against
-    truncation for the catalog entries; accuracy floor is about 1e-7."""
+    dd-bar K = (D - D^H) / 2i with D[a, b] = d_a w_b, and each row of D is
+    Cauchy's integral for the derivative of w along z_a: the trapezoid sum
+    of w / (N r omega^k) over the N nodes z + r omega^k e_a, with
+    r = POTENTIAL_STEP * prep.scale.  Its error falls like (r / R)^N for a
+    singularity at distance R, and its rounding is about eps |w| / r
+    (Lyness & Moler 1967; Trefethen & Weideman 2014).  A node outside the
+    domain is a StencilError."""
     z = prep.as_point(z)
     md = metric_at(prep, z)
     n = prep.n
-
-    def pot(u):
-        zz = u_to_z(u)
-        prep.require_domain(zz)
-        w = np.asarray(prep.grad(zz), dtype=complex)
-        return float(np.imag(np.sum(w * np.conj(zz))))
-
-    try:
-        hess = hessian(pot, z_to_u(z), h=POTENTIAL_STEP)
-    except (DomainError, FDEvaluationError) as exc:
-        raise StencilError(f"shrink step or move point: {exc}") from exc
-    g_fd = 0.25 * (hess[:n, :n] + hess[n:, n:]) + 0.25j * (hess[:n, n:] - hess[n:, :n])
-    return float(np.max(np.abs(g_fd - md.imtau)))
+    r = POTENTIAL_STEP * prep.scale
+    w = np.empty((n, len(_CIRCLE), n), dtype=complex)
+    for a in range(n):
+        for k, step in enumerate(r * _CIRCLE):
+            node = z.copy()
+            node[a] += step
+            try:
+                prep.require_domain(node)
+            except DomainError as exc:
+                raise StencilError(f"shrink step or move point: {exc}") from exc
+            w[a, k] = prep.grad(node)
+    d = (np.conj(_CIRCLE) @ w) / (len(_CIRCLE) * r)
+    return float(np.max(np.abs((d - d.conj().T) / 2j - md.imtau)))
 
 
 def vhs_holomorphy_residual(prep: Prepotential, z) -> float:
@@ -611,8 +622,8 @@ def lagrangian_graph_check(prep: Prepotential, center, radius: float = 0.1) -> L
 
 def sample_points(prep: Prepotential, count: int, seed: int, h: float = 1e-5):
     """Seeded uniform draws from the entry's sample box, rejecting points
-    closer than max(10 h, 2 POTENTIAL_STEP) to the domain boundary (probed
-    coordinatewise), so the widest stencil of a sweep stays inside;
+    closer than max(10 h, 2 POTENTIAL_STEP scale) to the domain boundary
+    (probed coordinatewise), so the potential check's circles stay inside;
     SamplingError after 500 draws per requested point."""
     if count < 1:
         raise ValueError("need count >= 1")
@@ -621,7 +632,7 @@ def sample_points(prep: Prepotential, count: int, seed: int, h: float = 1e-5):
     if len(box) != 2 * prep.n:
         raise ValueError(f"{prep.name}: sample box has wrong length")
     pts = []
-    eps = max(10.0 * h, 2.0 * POTENTIAL_STEP)
+    eps = max(10.0 * h, 2.0 * POTENTIAL_STEP * prep.scale)
     tries = 0
     limit = 500 * count
     while len(pts) < count:

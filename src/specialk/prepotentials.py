@@ -39,6 +39,16 @@ class DomainError(ValueError):
     """Point outside the prepotential's domain of validity."""
 
 
+def _shown(value) -> str:
+    """repr of a refused parameter value; an integer of more than 12
+    characters shows its first 12 and its digit count, as _parse_value
+    does, so the refusal stays one short line."""
+    text = repr(value)
+    if isinstance(value, numbers.Integral) and len(text) > 12:
+        return f"{text[:12]}... ({sum(c.isdigit() for c in text)} digits)"
+    return text
+
+
 class Prepotential:
     """Base class; subclasses fill in the analytic data.
 
@@ -50,6 +60,9 @@ class Prepotential:
     n: int = 1
     name: str = "?"
     sample_box: tuple = ()
+    # length scale: the potential check's radius and the sampler's margin
+    # are multiples of it
+    scale: float = 1.0
 
     def value(self, z) -> complex:
         raise NotImplementedError
@@ -92,7 +105,8 @@ class Quadratic(Prepotential):
     def __init__(self, n: int = 1):
         if not isinstance(n, numbers.Integral) or not 1 <= n <= _QUADRATIC_MAX_N:
             raise ValueError(
-                f"quadratic: n must be an integer from 1 to {_QUADRATIC_MAX_N}, got {n!r}")
+                f"quadratic: n must be an integer from 1 to {_QUADRATIC_MAX_N}, "
+                f"got {_shown(n)}")
         self.n = int(n)
         self.tau0 = 1j * np.eye(self.n)
         self.name = "quadratic"
@@ -162,12 +176,16 @@ class SWLog(Prepotential):
     n = 1
 
     def __init__(self, lam: complex = 1.0):
-        lam = complex(lam)
+        try:
+            lam = complex(lam)
+        except OverflowError:
+            raise ValueError(f"swlog: lambda={_shown(lam)} is beyond the float range") from None
         if lam == 0 or not cmath.isfinite(lam):
             raise ValueError(f"swlog: lambda must be finite and nonzero, got {lam}")
         self.lam = lam
         self.name = "swlog"
-        r = abs(lam)
+        # swlog(lambda) is swlog(1) pulled back by z -> z / lambda
+        r = self.scale = abs(lam)
         self.sample_box = ((0.35 * r, 2.0 * r), (-1.5 * r, 1.5 * r))
 
     def value(self, z):

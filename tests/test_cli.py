@@ -145,6 +145,21 @@ class TestVerify:
         if entry:
             assert entry.split("(")[0] in errors[0]
 
+    @pytest.mark.parametrize(
+        "entry",
+        ["quadratic(n=-" + "1" * 4000 + ")", "swlog(lambda=1" + "0" * 400 + ")"],
+        ids=["quadratic(n=-<4000 ones>)", "swlog(lambda=1<400 zeros>)"],
+    )
+    def test_long_parameter_is_refused_in_one_short_line(self, entry, capsys):
+        """An integer parameter far outside its range, or beyond the float
+        range, is a usage error whose line shows only its first digits."""
+        assert run(["verify", "--entry", entry, "--points", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + entry.split("(")[0])
+        assert captured.err.count("\n") == 1
+        assert len(captured.err) <= 100
+
     def test_stencil_failure_exit_code(self, monkeypatch, capsys):
         """A sample point inside the sampler's margin but closer to the
         boundary than the potential stencil ends in exit 3."""

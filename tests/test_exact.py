@@ -13,7 +13,6 @@ from specialk.exact import (
     ExactComplex,
     ExactMatrix,
     Subspace,
-    _rationalize,
     rationalize_matrix,
     real_rep_antilinear,
     real_rep_linear,
@@ -31,6 +30,27 @@ _DOUBLES = strategies.one_of(
     strategies.builds(lambda k, j: k / 2**j,
                       strategies.integers(-(2**53), 2**53), strategies.integers(0, 1000)),
 )
+# with the edges of the double range: signed zeros, the least subnormal and
+# magnitudes near the largest double
+_ALL_DOUBLES = strategies.one_of(
+    _DOUBLES, strategies.sampled_from([0.0, -0.0, 5e-324, 1.7e308, -1.7e308]))
+# complex matrices of 1 to 3 rows and columns over _ALL_DOUBLES
+_COMPLEX_MATRICES = strategies.integers(1, 3).flatmap(
+    lambda cols: strategies.lists(
+        strategies.lists(strategies.builds(complex, _ALL_DOUBLES, _ALL_DOUBLES),
+                         min_size=cols, max_size=cols),
+        min_size=1, max_size=3))
+
+
+def _rationalize(z):
+    """The bridge on Fraction objects, the oracle of the integer one:
+    (re, im, absolute error) with each part Fraction.limit_denominator's
+    closest rational and the error against the exact binary value of z."""
+    z = complex(z)
+    x, y = Fraction(z.real), Fraction(z.imag)
+    re = x.limit_denominator(MAX_DENOMINATOR)
+    im = y.limit_denominator(MAX_DENOMINATOR)
+    return re, im, hypot(float(re - x), float(im - y))
 
 
 class TestExactComplex:
@@ -146,10 +166,10 @@ class TestExactComplex:
         MAX_DENOMINATOR, so it lies within 1 / (2 MAX_DENOMINATOR) of the
         double and the error stays below 1e-12 at every scale: the bridge
         needs no guard on it."""
-        re, im, err = _rationalize(complex(x, y))
-        assert re == Fraction(x).limit_denominator(MAX_DENOMINATOR)
-        assert im == Fraction(y).limit_denominator(MAX_DENOMINATOR)
-        assert err == hypot(float(re - Fraction(x)), float(im - Fraction(y)))
+        val, err = ExactComplex.from_complex(complex(x, y))
+        assert val.re == Fraction(x).limit_denominator(MAX_DENOMINATOR)
+        assert val.im == Fraction(y).limit_denominator(MAX_DENOMINATOR)
+        assert err == hypot(float(val.re - Fraction(x)), float(val.im - Fraction(y)))
         assert err < 1e-12
 
 
@@ -195,6 +215,17 @@ class TestExactMatrix:
         exact, err = rationalize_matrix(m)
         assert err == 0.0
         assert exact[0, 0] == ExactComplex(Fraction(1, 2), Fraction(1, 4))
+
+    @properties
+    @given(_COMPLEX_MATRICES)
+    def test_rationalize_matrix_matches_fraction_oracle(self, entries):
+        """The integer bridge builds the rows and the worst error of the
+        Fraction one, bit for bit, at every scale."""
+        exact, err = rationalize_matrix(entries)
+        parts = [[_rationalize(v) for v in row] for row in entries]
+        oracle = ExactMatrix([[ExactComplex(re, im) for re, im, _ in row] for row in parts])
+        assert exact._rows == oracle._rows
+        assert err == max(e for row in parts for _, _, e in row)
 
 
 class TestSubspace:

@@ -371,12 +371,82 @@ def long_way_suite(gamma_d, ar, d_lc, d_ar, d_a):
     return residuals
 
 
+def _acceptance_points():
+    """(entry, base point) of acceptance criteria 1 to 4 and 8."""
+    for z in geo.sample_points(Quadratic(), 64, seed=1):
+        yield Quadratic(), z
+    for prep in (Cubic(), SWLog()):
+        for z in geo.sample_points(prep, 64, seed=2):
+            yield prep, z
+    for prep in ENTRIES:
+        for z in geo.sample_points(prep, 64, seed=3):
+            yield prep, z
+    for prep in (Cubic(), SWLog(), Coupled()):
+        for seed, count in ((4, 64), (8, 16)):
+            for pt in hk.sample_cotangent_points(prep, count, seed=seed):
+                yield prep, pt.z
+
+
 class TestKahlerPotential:
     def test_stencil_error_near_boundary(self):
         """A point closer to the boundary than the potential stencil
         reaches: leaving the domain is a StencilError, not a traceback."""
         with pytest.raises(geo.StencilError):
             geo.kahler_potential_residual(Cubic(), [0.3 + 1e-4j])
+
+    def test_rounding_level_on_acceptance_and_sweep_points(self):
+        """The Cauchy integrals hold the check at most 1e-11 on the
+        acceptance points and on the seed 1-3 sweep points of every catalog
+        entry (second differences floored near 1e-7)."""
+        points = list(_acceptance_points())
+        for prep in (Cubic(), SWLog(), Coupled(), Quadratic(n=3)):
+            for seed in (1, 2, 3):
+                points += [(prep, z) for z in geo.sample_points(prep, 32, seed=seed)]
+        for prep, z in points:
+            assert geo.kahler_potential_residual(prep, z) <= 1e-11, (prep.name, z)
+
+    @pytest.mark.parametrize("lam", [2.0**k for k in range(-40, 41, 10)] + [1e150, 1e-150])
+    def test_rounding_level_at_every_scale(self, lam):
+        """The radius scales with |lambda|, so swlog(lambda) holds the same
+        bound from 2^-40 to 2^40 and at 1e+-150."""
+        prep = SWLog(lam)
+        for seed in (1, 2, 3):
+            for z in geo.sample_points(prep, 16, seed=seed):
+                assert geo.kahler_potential_residual(prep, z) <= 1e-11, (lam, z)
+
+    @pytest.mark.parametrize("k", [-40, -3, 2, 10, 40])
+    def test_exact_rescaling_oracle(self, k):
+        """swlog(2^k) is swlog(1) pulled back by z -> z / 2^k, which is exact
+        in binary, and so is every node of the check: the residual at
+        (swlog(2^k), 2^k w) is the one at (swlog(1), w), bit for bit."""
+        one, scaled = SWLog(1.0), SWLog(2.0**k)
+        points = geo.sample_points(one, 16, seed=1)
+        values = [geo.kahler_potential_residual(one, z) for z in points]
+        assert values == [geo.kahler_potential_residual(scaled, 2.0**k * z) for z in points]
+        assert max(values) > 0.0
+
+    @pytest.mark.parametrize("prep", [Cubic(), SWLog(), Coupled()], ids=lambda p: p.name)
+    def test_every_node_is_domain_checked(self, prep, monkeypatch):
+        """Four nodes per coordinate, each read once after its domain
+        check."""
+        z = entry_points(prep, 1)[0]
+        calls = []
+
+        def recorded(name):
+            method = getattr(prep, name)
+
+            def call(zz):
+                calls.append((name, tuple(zz)))
+                return method(zz)
+
+            return call
+
+        for name in ("require_domain", "grad"):
+            monkeypatch.setattr(prep, name, recorded(name))
+        geo.kahler_potential_residual(prep, z)
+        nodes = [zz for name, zz in calls if name == "require_domain"]
+        assert len(set(nodes)) == 4 * prep.n
+        assert calls == [(name, zz) for zz in nodes for name in ("require_domain", "grad")]
 
 
 class TestSpecialConditions:
