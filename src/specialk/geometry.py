@@ -28,11 +28,15 @@ central differences as the tests' reference.
 
 A call that needs the metric checks in one order (_checked): the domain,
 an exactly symmetric tau, a positive metric Im tau, then the flat chart.
+
+complex_structure, type_projectors and holomorphic_frame depend on n
+only: each is built once per n and shared as a read-only array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -110,22 +114,34 @@ def u_to_z(u):
     return u[:n] + 1j * u[n:]
 
 
+def _shared(a):
+    """a made read-only, so that one cached array can serve every caller."""
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=None)
 def complex_structure(n: int):
-    """Matrix of I on the real chart."""
-    return _offdiag(np.eye(n), -np.eye(n))
+    """Matrix of I on the real chart.  It depends on n only, so it is built
+    on first use and shared; the array is read-only."""
+    return _shared(_offdiag(np.eye(n), -np.eye(n)))
 
 
+@lru_cache(maxsize=None)
 def type_projectors(n: int):
-    """(P10, P01): projectors onto the +i / -i eigenspaces of I."""
+    """(P10, P01): projectors onto the +i / -i eigenspaces of I, built once
+    per n and shared; both arrays are read-only."""
     im = complex_structure(n)
     p10 = 0.5 * (np.eye(2 * n) - 1j * im)
-    return p10, np.conj(p10)
+    return _shared(p10), _shared(np.conj(p10))
 
 
+@lru_cache(maxsize=None)
 def holomorphic_frame(n: int):
     """Columns span T^{1,0}: E_j = e_j + i e_{n+j}, the real-chart stack
-    of the holomorphic unit vectors."""
-    return _real_chart(np.eye(n), (0,))
+    of the holomorphic unit vectors; built once per n and shared
+    read-only."""
+    return _shared(_real_chart(np.eye(n), (0,)))
 
 
 def darboux_matrix(n: int):

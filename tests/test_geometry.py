@@ -16,6 +16,33 @@ def entry_points(prep, count, seed=1):
     return geo.sample_points(prep, count, seed=seed)
 
 
+class TestSharedConstants:
+    """complex_structure, type_projectors and holomorphic_frame depend on n
+    only: each is built once per n, shared read-only, and equal to the
+    formula it caches, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_built_once_and_equal_to_formula(self, n):
+        shared = (geo.complex_structure(n), *geo.type_projectors(n), geo.holomorphic_frame(n))
+        im = geo._offdiag(np.eye(n), -np.eye(n))
+        p10 = 0.5 * (np.eye(2 * n) - 1j * im)
+        fresh = (im, p10, np.conj(p10), geo._real_chart(np.eye(n), (0,)))
+        for got, want in zip(shared, fresh):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        again = (geo.complex_structure(n), *geo.type_projectors(n), geo.holomorphic_frame(n))
+        assert all(a is b for a, b in zip(again, shared))
+
+    def test_writes_raise(self):
+        shared = (geo.complex_structure(2), *geo.type_projectors(2), geo.holomorphic_frame(2),
+                  geo.point_data(Cubic(), [1j]).imat)
+        for a in shared:
+            with pytest.raises(ValueError):
+                a[0, 0] = 7.0
+            with pytest.raises(ValueError):
+                a += 1
+
+
 class TestMetric:
     def test_quadratic_identity(self):
         md = geo.metric_at(Quadratic(), [0.7 - 0.2j])

@@ -2,12 +2,17 @@
 integrability residuals and the correspondence with the Hodge route."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from randgen import properties, quaternionic_pair, standard_quaternionic
 
 from specialk import fd, geometry, hodge, hyperkahler as hk, rees
-from specialk.exact import rationalize_matrix
+from specialk.cli import main as cli_main
+from specialk.exact import ExactMatrix, rationalize_matrix, std_complex_structure
 from specialk.hodge import QuaternionicStructure
 from specialk.prepotentials import Coupled, Cubic, Quadratic, SWLog
 from specialk.utils import XorShift
@@ -256,25 +261,112 @@ class TestNormalBundle:
         st = hk.twistor_normal_bundle_at(prep, pt)
         assert st.degrees == (1,) * (2 * prep.n)
 
-    @pytest.mark.parametrize("prep", [Cubic(), SWLog(), Coupled()], ids=lambda p: p.name)
+    @pytest.mark.parametrize("prep", [Cubic(), SWLog(), Coupled(), Quadratic(n=3)],
+                             ids=lambda p: p.name)
     def test_frame_pair_matches_coordinate_pair(self, prep):
         """On the criterion-8 points the exact frame-basis pair and the
         coordinate pair S I S^-1, S J S^-1 (S rationalized as well) have
-        the same Rees splitting type."""
+        the same Rees splitting type, and the frame pair's chart search
+        returns the model structure.  The flat quadratic entry has S = 1,
+        so there the two pairs coincide."""
+        model = hodge._chart_hodge_structure(prep.n)
         for pt in hk.sample_cotangent_points(prep, 16, seed=8):
             frame_pair = hk._exact_quaternionic_at(prep, pt)
+            assert hodge.hodge_from_quaternionic(frame_pair).hodge is model
             s = rationalize_matrix(hk._frame_blocks(prep, pt)[1].astype(complex))[0]
             s_inv = s.inverse()
             coord_pair = QuaternionicStructure(
                 s @ frame_pair.imat @ s_inv, s @ frame_pair.jmat @ s_inv
             )
-            assert coord_pair.jmat != frame_pair.jmat
+            assert (coord_pair.jmat == frame_pair.jmat) == (s == ExactMatrix.identity(s.rows))
             frame, coord = (rees_splitting(q) for q in (frame_pair, coord_pair))
             assert frame == coord == rees.SplittingType((1,) * (2 * prep.n))
             assert hk.twistor_normal_bundle_at(prep, pt) == frame
 
+    @properties
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([4, 8, 12]))
+    def test_accepted_pair_always_charts_to_the_model(self, seed, n4):
+        """What twistor_normal_bundle_at rests on: for every pair the
+        constructor accepts, the chart search succeeds and its structure is
+        the model of the size, whose splitting _chart_splitting holds."""
+        qs = quaternionic_pair(XorShift(seed), n4)
+        assert hodge.hodge_from_quaternionic(qs).hodge is hodge._chart_hodge_structure(n4 // 4)
+
+    def test_sweep_checks_the_relations_at_every_point(self, monkeypatch, capsys):
+        """The splitting is shared per n, but every point still builds its
+        exact pair and so runs the constructor's relation products."""
+        built = []
+        init = QuaternionicStructure.__init__
+
+        def counted(self, imat, jmat):
+            built.append(imat.rows)
+            init(self, imat, jmat)
+
+        monkeypatch.setattr(QuaternionicStructure, "__init__", counted)
+        argv = ["twistor", "normal-bundle", "--entry", "coupled", "--points", "5"]
+        assert cli_main(argv) == 0
+        capsys.readouterr()
+        assert built == [8] * 5
+
+    def test_broken_metric_fails_the_relation_check(self, monkeypatch):
+        """A g that does not commute with I_base (one entry of its lower
+        block moved by 1/7) gives a pair with IJ != -JI, and the point
+        raises instead of reading the shared splitting."""
+        rationalize = hk.rationalize_matrix
+
+        def moved(array):
+            g, err = rationalize(array)
+            rows = [list(row) for row in g.entries]
+            n = len(rows) // 2
+            rows[n][n] = rows[n][n] + Fraction(1, 7)
+            return ExactMatrix(rows), err
+
+        prep = Coupled()
+        pt = pt_for(prep, seed=19)
+        assert hk.twistor_normal_bundle_at(prep, pt).degrees == (1,) * 4
+        monkeypatch.setattr(hk, "rationalize_matrix", moved)
+        with pytest.raises(ValueError, match="IJ = -JI fails"):
+            hk.twistor_normal_bundle_at(prep, pt)
+
+
+class TestSharedConstants:
+    """The n-only exact constants of the twistor check are built once per n
+    and equal the formulas they replace."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_frame_i_is_built_once(self, n):
+        got = hk._frame_i(n)
+        assert hk._frame_i(n) is got
+        ibase = -std_complex_structure(n)
+        zero = ExactMatrix.zeros(2 * n, 2 * n)
+        assert got == ExactMatrix.blocks([[ibase, zero], [zero, ibase.T]])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_chart_splitting_is_the_full_route(self, k):
+        got = hk._chart_splitting(k)
+        assert hk._chart_splitting(k) is got
+        assert got == rees_splitting(standard_quaternionic(4 * k))
+        assert got.degrees == (1,) * (2 * k)
+
+
+def correspondence_from_full_frame(prep, pt):
+    """correspondence_check as it read J, S^-1 and g^-1 off tangent_split_at,
+    kept as the oracle of the J-only build."""
+    fr = hk.tangent_split_at(prep, pt)
+    p10, p01 = geometry.type_projectors(prep.n)
+    chi = np.hstack([p10, p01 @ fr.g_inv]) @ fr.s_inv
+    chi_real = np.vstack([chi.real, chi.imag])
+    j_via_hodge = np.linalg.inv(chi_real) @ hk._tangent_hodge_j(prep.n) @ chi_real
+    return float(np.max(np.abs(fr.jmat - j_via_hodge)))
+
 
 class TestCorrespondence:
+    @pytest.mark.parametrize("prep", [Cubic(), SWLog(), Coupled()], ids=lambda p: p.name)
+    def test_equals_full_frame_formula(self, prep):
+        """On the criterion-8 points, bit for bit."""
+        for pt in hk.sample_cotangent_points(prep, 16, seed=8):
+            assert hk.correspondence_check(prep, pt) == correspondence_from_full_frame(prep, pt)
+
     def test_quadratic_tight(self):
         prep = Quadratic()
         assert hk.correspondence_check(prep, pt_for(prep, seed=23)) < 1e-12
