@@ -18,12 +18,19 @@ is exact, and each pivot row is divided by its pivot once at the end.
 Any other input runs the loop over Q(i), which divides each pivot row
 by its leading entry.  Both paths give the same canonical rows and pivots.
 
-matmul has two paths, chosen from the operands alone.  A product with at
-least _PACK_COLS columns whose two factors are both real packs each row
-of B into one int of fixed-width bit slots (Kronecker substitution), so
-an output row costs one big-int multiply-add per nonzero entry of its A
-row and one unpack.  Every other product, complex or narrow, runs the
-entrywise loop.  Both paths give the same canonical rows.
+matmul has three paths, chosen from the operands alone.  A factor that is
+a signed permutation (every row has den 1 and a single nonzero entry, a
+real +1 or -1, and no two rows share a column) moves rows without any
+arithmetic: on the left it selects B's rows with their signs, on the
+right it scatters A's columns.  The exact twistor pair meets it in three
+of the four relation products of each point (the frame I is one), and
+every round trip through the model structure of a size multiplies by it.
+Otherwise a product with at least _PACK_COLS columns whose two factors are
+both real packs each row of B into one int of fixed-width bit slots
+(Kronecker substitution), so an output row costs one big-int multiply-add
+per nonzero entry of its A row and one unpack.  Every other product,
+complex or narrow, runs the entrywise loop.  All paths give the same
+canonical rows.
 """
 
 from math import gcd
@@ -168,10 +175,42 @@ def _is_real(rows):
     return not any(any(r[2::2]) for r in rows)
 
 
+def _signed_permutation(rows):
+    """[(column, sign)] of rows that form a signed permutation, else None.
+    With den 1 first, a row whose zeros fill all but two places has one
+    nonzero numerator; it is +1 when 1 occurs twice (den and entry), -1
+    when -1 occurs once, and it must sit at a real (odd) place."""
+    if not rows:
+        return None
+    zeros = len(rows[0]) - 2
+    places = []
+    signs = []
+    for row in rows:
+        if row[0] != 1 or row.count(0) != zeros:
+            return None
+        if row.count(1) == 2:
+            places.append(row.index(1, 1))
+            signs.append(1)
+        elif row.count(-1) == 1:
+            places.append(row.index(-1))
+            signs.append(-1)
+        else:
+            return None
+    if len(set(places)) != len(places) or not all(j & 1 for j in places):
+        return None
+    return [(j >> 1, sign) for j, sign in zip(places, signs)]
+
+
 def matmul(a_rows, b_rows, b_cols):
     """Exact product of two Q(i) matrices in flat-row format."""
     if not b_rows:
         return [[1] + [0] * (2 * b_cols) for _ in a_rows]
+    picks = _signed_permutation(a_rows)
+    if picks is not None:
+        return _select_rows(picks, b_rows)
+    picks = _signed_permutation(b_rows)
+    if picks is not None:
+        return _scatter_columns(a_rows, picks, b_cols)
     lcm_b = 1
     for row in b_rows:
         d = row[0]
@@ -179,6 +218,40 @@ def matmul(a_rows, b_rows, b_cols):
     if b_cols >= _PACK_COLS and _is_real(a_rows) and _is_real(b_rows):
         return _matmul_packed(a_rows, b_rows, b_cols, lcm_b)
     return _matmul_loop(a_rows, b_rows, b_cols, lcm_b)
+
+
+def _select_rows(picks, b_rows):
+    """matmul with a signed-permutation A: row i is sign_i times B's row
+    c_i, content-reduced as the loop leaves it."""
+    out = []
+    for c, sign in picks:
+        row = b_rows[c]
+        if sign > 0:
+            moved = list(row)
+        else:
+            moved = [-v for v in row]
+            moved[0] = row[0]
+        out.append(_reduce_row(moved))
+    return out
+
+
+def _scatter_columns(a_rows, picks, b_cols):
+    """matmul with a signed-permutation B: column t of A goes to column c_t
+    with sign_t; B's dens are 1, so each row keeps A's den."""
+    moves = [(2 * t + 1, 2 * c + 1, sign) for t, (c, sign) in enumerate(picks)]
+    out = []
+    for row in a_rows:
+        res = [0] * (2 * b_cols + 1)
+        res[0] = row[0]
+        for src, dst, sign in moves:
+            if sign > 0:
+                res[dst] = row[src]
+                res[dst + 1] = row[src + 1]
+            else:
+                res[dst] = -row[src]
+                res[dst + 1] = -row[src + 1]
+        out.append(_reduce_row(res))
+    return out
 
 
 def _matmul_loop(a_rows, b_rows, b_cols, lcm_b):

@@ -182,14 +182,14 @@ class ExactComplex:
             return "0"
         parts = []
         if self.re != 0:
-            parts.append(str(self.re))
+            parts.append(_fraction_text(self.re))
         if self.im != 0:
             if self.im == 1:
                 imtxt = "i"
             elif self.im == -1:
                 imtxt = "-i"
             else:
-                imtxt = f"{self.im}*i"
+                imtxt = _fraction_text(self.im) + "*i"
             if parts and not imtxt.startswith("-"):
                 parts.append("+" + imtxt)
             else:
@@ -208,6 +208,49 @@ MAX_LITERAL_EXPONENT = 4300
 _EXPONENT = _re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*$")
 
 
+# Python refuses to convert ints of more than 4300 decimal digits to or
+# from text (and a lower limit may be set, though never below 640), so
+# longer values are converted in pieces of at most _CHUNK_DIGITS digits;
+# _CHUNK_BITS is the largest bit length whose ints all have that many
+# digits or fewer (2**1993 < 10**600).
+_CHUNK_DIGITS = 600
+_CHUNK_BITS = 1993
+
+# Longest digit run a scalar literal may carry: text of this length is
+# converted in milliseconds, and it holds the printed form of a product of
+# two literals at the exponent bound.
+MAX_LITERAL_DIGITS = 10 * MAX_LITERAL_EXPONENT
+
+_PLAIN = _re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
+
+
+def _int_text(n):
+    """str(n) for an int of any length: split by divmod by a power of ten
+    until each piece is short enough for str."""
+    if n.bit_length() <= _CHUNK_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _int_text(-n)
+    k = n.bit_length() * 3 // 20   # about half the digits, bits * log10(2) / 2
+    hi, lo = divmod(n, 10**k)
+    return _int_text(hi) + _int_text(lo).zfill(k)
+
+
+def _fraction_text(f):
+    """str(f) for a Fraction, for numerators and denominators of any length."""
+    if f.denominator == 1:
+        return _int_text(f.numerator)
+    return _int_text(f.numerator) + "/" + _int_text(f.denominator)
+
+
+def _digits_value(text):
+    """The int of a run of decimal digits of any length."""
+    if len(text) <= _CHUNK_DIGITS:
+        return int(text)
+    k = len(text) // 2
+    return _digits_value(text[:-k]) * 10**k + _digits_value(text[-k:])
+
+
 def _literal_fraction(token, text):
     m = _EXPONENT.search(token)
     if m:
@@ -219,6 +262,16 @@ def _literal_fraction(token, text):
                     f"exponent beyond {MAX_LITERAL_EXPONENT} in scalar literal {text!r}"
                 )
     try:
+        plain = _PLAIN.fullmatch(token)
+        if plain and len(token) > _CHUNK_DIGITS:
+            # an integer or integer ratio too long for int(), as str prints one
+            sign, num, den = plain.groups()
+            if max(len(num), len(den or "")) > MAX_LITERAL_DIGITS:
+                raise ValueError(
+                    f"more than {MAX_LITERAL_DIGITS} digits in scalar literal {text[:40]!r}..."
+                )
+            value = Fraction(_digits_value(num), _digits_value(den) if den else 1)
+            return -value if sign == "-" else value
         return Fraction(token)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
@@ -784,17 +837,27 @@ def rationalize_matrix(array):
     """ExactMatrix nearest to a float matrix; returns (matrix, max error).
     Each part goes through _limit, and each row is written canonical at
     once: with den the lcm of the reduced denominators, no prime divides
-    den and every numerator."""
+    den and every numerator.
+
+    An entry that is not a complex (a float, numpy's float64 included)
+    goes through _limit once and gets the imaginary part 0/1; its error is
+    |err|, the bits of hypot(err, 0.0).  So a real array and the same array
+    cast to complex give the same rows and error."""
     worst = 0.0
     rows = []
     for row in array:
         parts = []
         for v in row:
-            v = complex(v)
-            p, q, err_re = _limit(v.real)
-            r, s, err_im = _limit(v.imag)
-            parts += ((p, q), (r, s))
-            worst = max(worst, hypot(err_re, err_im))
+            if isinstance(v, complex):
+                v = complex(v)
+                p, q, err_re = _limit(v.real)
+                r, s, err_im = _limit(v.imag)
+                parts += ((p, q), (r, s))
+                worst = max(worst, hypot(err_re, err_im))
+            else:
+                p, q, err = _limit(float(v))
+                parts += ((p, q), (0, 1))
+                worst = max(worst, abs(err))
         den = lcm(*(q for _, q in parts))
         rows.append((den, *(p * (den // q) for p, q in parts)))
     if not rows:

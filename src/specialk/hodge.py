@@ -355,6 +355,13 @@ def check_polarization(h: HodgeStructure, q: Polarization) -> PolarizationReport
     )
 
 
+@lru_cache(maxsize=None)
+def _neg_identity(n: int) -> ExactMatrix:
+    """-1 on Q^n, which the relation checks compare against; built on first
+    use per size and shared (ExactMatrix is immutable)."""
+    return -ExactMatrix.identity(n)
+
+
 class QuaternionicStructure:
     """A pair (I, J) of real-linear endomorphisms with I^2 = J^2 = -1 and
     IJ = -JI, both as exact real matrices.  The constructor keeps the
@@ -366,7 +373,7 @@ class QuaternionicStructure:
             raise ValueError("I and J must be square of equal size")
         if not (imat.is_real() and jmat.is_real()):
             raise ValueError("I and J must be real matrices")
-        neg_ident = -ExactMatrix.identity(imat.rows)
+        neg_ident = _neg_identity(imat.rows)
         if imat @ imat != neg_ident or jmat @ jmat != neg_ident:
             raise ValueError("I^2 = J^2 = -1 fails")
         kmat = imat @ jmat
@@ -525,7 +532,7 @@ def vhs_from_special_kahler(prep, points, tol: float = 1e-5):
         z = prep.as_point(z)
         _, md, jac = geometry._checked(prep, z)
         hol = geometry._holomorphy_residual(geometry._flat_jet(jac, prep.third(z))[0])
-        q_exact, err_q = rationalize_matrix(-md.omega.astype(complex))
+        q_exact, err_q = rationalize_matrix(-md.omega)
         pure = True
         pol = None
         try:

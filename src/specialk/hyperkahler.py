@@ -210,12 +210,16 @@ def structure_derivative_stacks(prep: Prepotential, pt: CotangentPoint, h: float
 
 def _nijenhuis_from(s, ds):
     """Sup-norm of N(X, Y) over coordinate fields, from the pointwise
-    structure and its derivative stack ds[d] = d_d S."""
-    t1 = np.einsum("da,dcb->cab", s, ds)
-    t3 = np.einsum("cd,bda->cab", s, ds)
-    t4 = np.einsum("cd,adb->cab", s, ds)
-    n = t1 - t1.transpose(0, 2, 1) + t3 - t4
-    return float(np.max(np.abs(n)))
+    structure and its derivative stack ds[d] = d_d S.
+
+    For coordinate fields N(d_a, d_b) = Y(a, b) - Y(b, a) with
+    Y(a, b) = (d_{S d_a} S - S d_a S) d_b, and y[a, c, b] = Y(a, b)^c is
+    two matrix products: S^T times ds flattened to m x m^2, and the
+    stacked S @ ds.  The sup-norm of y - y^(2,1,0) reads N in another
+    index order, which it does not see."""
+    m = len(s)
+    y = (s.T @ ds.reshape(m, m * m)).reshape(m, m, m) - s @ ds
+    return float(np.max(np.abs(y - y.transpose(2, 1, 0))))
 
 
 def nijenhuis_at(prep: Prepotential, pt: CotangentPoint, structure="J",
@@ -271,7 +275,7 @@ def _exact_quaternionic_at(prep: Prepotential, pt: CotangentPoint):
     The coordinate pair is the frame pair conjugated by the frame matrix S.
     An exact conjugation is an isomorphism of quaternionic structures, so
     it cannot change the Rees splitting type; g is the only float datum."""
-    g_exact, _ = rationalize_matrix(geometry.metric_at(prep, pt.z).g_real.astype(complex))
+    g_exact, _ = rationalize_matrix(geometry.metric_at(prep, pt.z).g_real)
     n2 = 2 * prep.n
     zero = ExactMatrix.zeros(n2, n2)
     j_frame = ExactMatrix.blocks([[zero, -g_exact.inverse()], [g_exact, zero]])

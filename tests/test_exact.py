@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import hypot
 
 import pytest
-from hypothesis import given, strategies
+from hypothesis import example, given, strategies
 
 from randgen import matrix, properties, scalar, vector
 from specialk.exact import (
@@ -226,6 +226,94 @@ class TestExactMatrix:
         oracle = ExactMatrix([[ExactComplex(re, im) for re, im, _ in row] for row in parts])
         assert exact._rows == oracle._rows
         assert err == max(e for row in parts for _, _, e in row)
+
+    @properties
+    @given(strategies.integers(1, 3).flatmap(
+        lambda cols: strategies.lists(
+            strategies.lists(_ALL_DOUBLES, min_size=cols, max_size=cols),
+            min_size=1, max_size=3)))
+    @example([[0.0, -0.0, 5e-324], [1e300, -1e300, 1e-300], [-1e-300, 3 / 1024, -(2.0**-60)]])
+    def test_rationalize_real_input_as_complex(self, entries):
+        """A real float array and the same array cast to complex give the
+        same rows and the same error, bit for bit: each real entry goes
+        through _limit once and gets the imaginary part 0/1."""
+        import numpy as np
+
+        real = np.array(entries, dtype=float)
+        exact, err = rationalize_matrix(real)
+        exact_c, err_c = rationalize_matrix(real.astype(complex))
+        assert exact._rows == exact_c._rows
+        assert repr(err) == repr(err_c)
+        # Python floats take the real path as numpy's float64 does
+        assert rationalize_matrix(entries)[0]._rows == exact._rows
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_rationalize_non_finite_raises_alike(self, bad):
+        import numpy as np
+
+        real = np.array([[0.5, bad]])
+        with pytest.raises(Exception) as on_real:
+            rationalize_matrix(real)
+        with pytest.raises(Exception) as on_complex:
+            rationalize_matrix(real.astype(complex))
+        assert on_real.type is on_complex.type
+        assert on_real.type in (OverflowError, ValueError)
+
+
+class TestLongValues:
+    """Values beyond Python's 4300-digit int <-> str limit print and parse
+    back without touching that limit."""
+
+    _PRODUCT = ExactComplex(Fraction(-(10**4300), 3), 10**4300) * ExactComplex(7 * 10**4300 + 1, 1)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            ExactComplex(10**4300),
+            ExactComplex(Fraction(-(10**4300), 3), 10**4300),
+            _PRODUCT,
+            ExactComplex(Fraction(1, 3 * 10**4300 + 1), -(2**20000)),
+        ],
+        ids=["1e4300", "ratio-and-i", "product", "long-den"],
+    )
+    def test_parse_str_round_trip(self, x):
+        assert ExactComplex.parse(str(x)) == x
+
+    def test_product_prints_about_8600_digits_per_part(self):
+        re_text, im_text = str(self._PRODUCT).split("+")
+        assert re_text.startswith("-") and re_text.endswith("/3")
+        # -(7e8600 + 4e4300)/3 and (21e8600 + 2e4300)/3
+        assert len(re_text) == len("-/3") + 8601 and len(im_text) == len("/3*i") + 8602
+
+    @pytest.mark.parametrize("k", [599, 600, 601, 1200, 4299, 4300, 4301, 9000])
+    def test_digits_at_the_chunk_edges(self, k):
+        """The chunked text reads back, 100 digits at a time, as the value
+        it was printed from."""
+        for n in (10**k - 1, 10**k, 10**k + 1, -(10**k) - 7, 2**1993, 2**1994 - 1):
+            text = str(ExactComplex(n))
+            digits = text.lstrip("-")
+            assert text.startswith("-") == (n < 0) and digits[0] != "0"
+            value = 0
+            for i in range(0, len(digits), 100):
+                chunk = digits[i:i + 100]
+                value = value * 10 ** len(chunk) + int(chunk)
+            assert value == abs(n)
+
+    def test_long_matrix_repr_and_filtration_json(self):
+        from specialk.hodge import Filtration
+
+        big = ExactComplex(Fraction(10**4400, 7))
+        assert str(big) in repr(ExactMatrix([[big, 1], [0, 1]]))
+        filt = Filtration.from_proper_steps(2, [Subspace.span(2, [[1, big]])])
+        assert Filtration.from_json(filt.to_json()) == filt
+
+    def test_digit_run_bound(self):
+        from specialk.exact import MAX_LITERAL_DIGITS
+
+        sevens = 7 * (10**MAX_LITERAL_DIGITS - 1) // 9
+        assert ExactComplex.parse("7" * MAX_LITERAL_DIGITS) == ExactComplex(sevens)
+        with pytest.raises(ValueError, match=f"more than {MAX_LITERAL_DIGITS} digits"):
+            ExactComplex.parse("1/" + "3" * (MAX_LITERAL_DIGITS + 1))
 
 
 class TestSubspace:

@@ -177,6 +177,62 @@ class TestNijenhuis:
             hk.nijenhuis_at(Quadratic(), pt_for(Quadratic()), "Q")
 
 
+def nijenhuis_einsum(s, ds):
+    """The three-einsum form of the Nijenhuis residual, kept as the
+    oracle: N[c, a, b] = t1[c, a, b] - t1[c, b, a] + t3[c, a, b] - t4[c, a, b]."""
+    t1 = np.einsum("da,dcb->cab", s, ds)
+    t3 = np.einsum("cd,bda->cab", s, ds)
+    t4 = np.einsum("cd,adb->cab", s, ds)
+    return float(np.max(np.abs(t1 - t1.transpose(0, 2, 1) + t3 - t4)))
+
+
+def nijenhuis_rounding_bound(s, ds):
+    """Largest gap two evaluations of the residual can show in any order of
+    summation.  Each of the four terms of an entry is a length-m dot
+    product of size at most m sup|S| sup|dS|, rounded within
+    1.01 m eps times that; the three additions add 12 eps m sup|S| sup|dS|.
+    The gap is at most the sum of both evaluations' errors."""
+    m = len(s)
+    eps = np.finfo(float).eps
+    size = m * float(np.max(np.abs(s))) * float(np.max(np.abs(ds)))
+    return 2 * (4 * 1.01 * m + 12) * eps * size
+
+
+class TestNijenhuisOracle:
+    """The two-product residual against the three-einsum formula, within
+    the rounding bound, on criterion 4's points, on quadratic(n=3) and
+    quadratic(n=6) points, and on random stacks of those sizes (quadratic's
+    stacks are 0, where both forms read 0 exactly)."""
+
+    @pytest.mark.parametrize(
+        "prep", [Cubic(), SWLog(), Coupled(), Quadratic(n=3), Quadratic(n=6)],
+        ids=lambda p: f"{p.name}{p.n}",
+    )
+    def test_agrees_with_einsum_form(self, prep):
+        rng = XorShift(44)
+        zetas = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(8)]
+        count = 64 if prep.n < 3 else 4
+        for pt in hk.sample_cotangent_points(prep, count, seed=4):
+            fr, (d_i, d_j, d_k, _) = hk.structure_derivative_stacks(prep, pt)
+            pairs = [(fr.imat, d_i), (fr.jmat, d_j), (fr.kmat, d_k)]
+            for zeta in zetas:
+                a, b, c = hk.zeta_to_sphere(zeta)
+                pairs.append((a * fr.imat + b * fr.jmat + c * fr.kmat, a * d_i + b * d_j + c * d_k))
+            for s, ds in pairs:
+                new, old = hk._nijenhuis_from(s, ds), nijenhuis_einsum(s, ds)
+                assert abs(new - old) <= nijenhuis_rounding_bound(s, ds), (new, old)
+
+    @pytest.mark.parametrize("m", [4, 8, 12, 24])
+    def test_agrees_on_random_stacks(self, m):
+        gen = np.random.default_rng(m)
+        for _ in range(4):
+            s = gen.standard_normal((m, m))
+            ds = gen.standard_normal((m, m, m))
+            new, old = hk._nijenhuis_from(s, ds), nijenhuis_einsum(s, ds)
+            assert new > 1.0
+            assert abs(new - old) <= nijenhuis_rounding_bound(s, ds)
+
+
 class TestAnalyticStacks:
     """The chain-rule stacks against the fourth-order stencil as the
     reference, on criterion 4's points."""

@@ -227,6 +227,89 @@ def test_packed_path_is_taken_for_wide_real_products_only(monkeypatch):
     assert taken == [8]
 
 
+@st.composite
+def signed_permutations(draw, nrows, ncols):
+    """nrows <= ncols rows of den 1, each with one real +1 or -1, no two
+    on one column."""
+    cols = draw(st.permutations(range(ncols)))[:nrows]
+    rows = []
+    for c in cols:
+        row = [1] + [0] * (2 * ncols)
+        row[1 + 2 * c] = draw(st.sampled_from([1, -1]))
+        rows.append(row)
+    return rows
+
+
+def assert_like_old_paths(a, b, m):
+    """matmul's rows are the loop's, and the packed path's on real factors,
+    bit for bit."""
+    lcm_b = lcm_den(b)
+    out = _kernel.matmul(a, b, m)
+    assert out == _kernel._matmul_loop(a, b, m, lcm_b)
+    if _kernel._is_real(a) and _kernel._is_real(b):
+        assert out == _kernel._matmul_packed(a, b, m, lcm_b)
+    assert entries(out) == fraction_product(a, b, m)
+
+
+@properties
+@given(st.data())
+def test_signed_permutation_products_match_old_paths(data):
+    """A signed permutation on either side of a Q(i) matrix, real or
+    complex, with dens above 1: rows moved, never multiplied, and equal to
+    what the arithmetic paths give."""
+    k = data.draw(st.integers(1, 6))
+    kinds = data.draw(st.sampled_from([REAL_KINDS, REAL_KINDS + ["complex"], ["complex"]]))
+    n = data.draw(st.integers(1, k))
+    m = data.draw(st.integers(1, 8))
+    perm = data.draw(signed_permutations(n, k))
+    other = data.draw(wide_rows(k, m, kinds))
+    assert _kernel._signed_permutation(perm) is not None
+    assert_like_old_paths(perm, other, m)
+    m = data.draw(st.integers(k, 8))
+    perm = data.draw(signed_permutations(k, m))
+    other = data.draw(wide_rows(n, k, kinds))
+    assert_like_old_paths(other, perm, m)
+    # canonical rows come out as they went in, signs applied
+    canon = [_kernel._reduce_row(list(r)) for r in data.draw(wide_rows(k, m, kinds))]
+    moved = _kernel.matmul(data.draw(signed_permutations(k, k)), canon, m)
+    assert sorted(map(abs_row, moved)) == sorted(map(abs_row, canon))
+
+
+def abs_row(row):
+    return tuple(abs(v) for v in row)
+
+
+@pytest.mark.parametrize(
+    "near",
+    [
+        [[2, 0, 0, 1, 0], [1, 1, 0, 0, 0]],      # den 2
+        [[1, 0, 0, 2, 0], [1, 1, 0, 0, 0]],      # an entry 2
+        [[1, 0, 0, -2, 0], [1, 1, 0, 0, 0]],     # an entry -2
+        [[1, 0, 0, 0, 1], [1, 1, 0, 0, 0]],      # the unit i
+        [[1, 0, 0, 0, -1], [1, 1, 0, 0, 0]],     # the unit -i
+        [[1, 0, 0, 1, 0], [1, 0, 0, -1, 0]],     # two rows on one column
+        [[1, 0, 0, 1, 0], [1, 0, 0, 0, 0]],      # a zero row
+        [[1, 1, 0, 1, 0], [1, 1, 0, 0, 0]],      # two entries in a row
+    ],
+    ids=["den2", "two", "minus-two", "i", "minus-i", "shared-column", "zero-row", "two-entries"],
+)
+def test_near_signed_permutations_take_the_old_paths(near, monkeypatch):
+    moved = []
+    for name in ("_select_rows", "_scatter_columns"):
+        orig = getattr(_kernel, name)
+        monkeypatch.setattr(_kernel, name, lambda *args, _f=orig: moved.append(1) or _f(*args))
+    other = [[3, 1, 0, -2, 0, 4, 5], [2, 7, 0, 1, 0, -3, 0]]
+    assert _kernel._signed_permutation(near) is None
+    assert_like_old_paths(near, other, 3)
+    wide = [[5] + [v for j in range(8) for v in (j - 2, 0)]] * 2
+    assert_like_old_paths(near, wide, 8)
+    assert_like_old_paths([[3, 1, 0, -2, 0], [1, 0, 0, 5, 0]], near, 2)
+    assert moved == []
+    # the signed permutation itself does move rows
+    assert_like_old_paths([[1, 0, 0, -1, 0], [1, 1, 0, 0, 0]], other, 3)
+    assert moved == [1]
+
+
 def vectors(n):
     return st.lists(
         st.lists(gaussian.map(lambda g: ExactComplex(*g)), min_size=n, max_size=n),
