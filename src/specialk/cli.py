@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, geometry, hodge, hyperkahler, rees
 from .exact import ExactComplex, ExactMatrix
 from .hodge import Filtration, RealStructure
-from .prepotentials import parse_entry
+from .prepotentials import catalog, parse_entry
 from .utils import XorShift, stable_json
 
 EXIT_PASS = 0
@@ -90,15 +90,17 @@ def _sweep(args, command, sampler, sample_at, header=None):
 
 
 def _verify_at(prep, z, args):
-    """One sample point of the verify sweep."""
-    eq = geometry.check_equations(prep, z, tol=args.tol, h=args.step)
-    sc = geometry.check_special_conditions(prep, z, tol=args.tol)
-    vhs = hodge.vhs_from_special_kahler(prep, [z], tol=args.tol)[0]
+    """One sample point of the verify sweep: every suite but the potential
+    check, which reads w off the point, reads one checked record of it."""
+    p = geometry._point(prep, z)
+    eq = geometry.check_equations(prep, p, tol=args.tol, h=args.step)
+    sc = geometry.check_special_conditions(prep, p, tol=args.tol)
+    vhs = hodge.vhs_from_special_kahler(prep, [p], tol=args.tol)[0]
     residuals = dict(eq.residuals)
     residuals.update(sc.residuals)
     residuals["kahler_potential"] = geometry.kahler_potential_residual(prep, z)
-    residuals["darboux"] = geometry.flat_omega_residual(prep, z)
-    residuals["flat_structure"] = geometry.flat_structure_certificate(prep, z)
+    residuals["darboux"] = geometry.flat_omega_residual(prep, p)
+    residuals["flat_structure"] = geometry.flat_structure_certificate(prep, p)
     residuals["vhs_holomorphy"] = vhs["holomorphy_residual"]
     checks = {
         "pure_weight_1": vhs["pure_weight_1"],
@@ -251,8 +253,6 @@ def cmd_twistor(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    from .prepotentials import catalog
-
     report = {
         "entries": [
             {"name": e.name, "description": e.description} for e in catalog()

@@ -221,7 +221,11 @@ _CHUNK_BITS = 1993
 # two literals at the exponent bound.
 MAX_LITERAL_DIGITS = 10 * MAX_LITERAL_EXPONENT
 
-_PLAIN = _re.compile(r"([+-]?)(\d+)(?:/(\d+))?")
+# The two literal forms Fraction reads, as (sign, digit run, digit run):
+# an integer ratio, and a decimal with an optional point and exponent.
+_RUN = r"\d+(?:_\d+)*"
+_RATIO = _re.compile(rf"([+-]?)({_RUN})/({_RUN})")
+_DECIMAL = _re.compile(rf"([+-]?)(?=\.?\d)({_RUN})?(?:\.({_RUN})?)?(?:[eE][-+]?{_RUN})?")
 
 
 def _int_text(n):
@@ -253,8 +257,8 @@ def _digits_value(text):
 
 def _literal_fraction(token, text):
     m = _EXPONENT.search(token)
+    exponent = 0
     if m:
-        exponent = 0
         for digit in m.group(1).replace("_", ""):
             exponent = 10 * exponent + int(digit)
             if exponent > MAX_LITERAL_EXPONENT:
@@ -262,17 +266,27 @@ def _literal_fraction(token, text):
                     f"exponent beyond {MAX_LITERAL_EXPONENT} in scalar literal {text!r}"
                 )
     try:
-        plain = _PLAIN.fullmatch(token)
-        if plain and len(token) > _CHUNK_DIGITS:
-            # an integer or integer ratio too long for int(), as str prints one
-            sign, num, den = plain.groups()
-            if max(len(num), len(den or "")) > MAX_LITERAL_DIGITS:
-                raise ValueError(
-                    f"more than {MAX_LITERAL_DIGITS} digits in scalar literal {text[:40]!r}..."
-                )
-            value = Fraction(_digits_value(num), _digits_value(den) if den else 1)
-            return -value if sign == "-" else value
-        return Fraction(token)
+        if len(token) <= _CHUNK_DIGITS:
+            return Fraction(token)
+        # Fraction also reads a literal with whitespace, such as tabs, around it
+        ratio = _RATIO.fullmatch(token.strip())
+        form = ratio or _DECIMAL.fullmatch(token.strip())
+        if not form:
+            return Fraction(token)
+        # runs too long for int(), as str prints them: read them in pieces
+        sign, head, tail = (g.replace("_", "") if g else "" for g in form.groups())
+        if max(len(head), len(tail)) > MAX_LITERAL_DIGITS:
+            raise ValueError(
+                f"more than {MAX_LITERAL_DIGITS} digits in scalar literal {text[:40]!r}..."
+            )
+        if ratio:
+            value = Fraction(_digits_value(head), _digits_value(tail))
+        else:
+            # head.tail times 10 to the exponent, whose size is bounded above
+            if m and "-" in m.group(0):
+                exponent = -exponent
+            value = _digits_value(head + tail) * Fraction(10) ** (exponent - len(tail))
+        return -value if sign == "-" else value
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 

@@ -19,15 +19,19 @@ Conventions (fixed once, everything else is checked against them):
 Connections are assembled analytically from the catalog's third
 derivatives, and their first derivatives (curvature, covariant exterior
 derivatives) by the chain rule from the fourth, so the equation suite
-takes no stencil and its residuals sit at rounding level.  Each public
-call reads tau, C, d^4 F and w at most once.  kahler_potential_residual,
-the independent check of the metric convention, differentiates w by
-Cauchy's integral formula on small circles around the point, so no check
-of a sweep takes a finite difference; curvature_of_connection keeps
-central differences as the tests' reference.
+takes no stencil and its residuals sit at rounding level.
+kahler_potential_residual, the independent check of the metric
+convention, differentiates w by Cauchy's integral formula on small
+circles around the point, so no check of a sweep takes a finite
+difference; curvature_of_connection keeps central differences as the
+tests' reference.
 
-A call that needs the metric checks in one order (_checked): the domain,
-an exactly symmetric tau, a positive metric Im tau, then the flat chart.
+Every suite reads one checked record of the point (_point), which checks
+the domain, tau, the metric and the flat chart once, in that order, and
+reads tau and C at most once.  Each public (prep, z) function also takes
+a record in place of z, so a sweep that hands one record to every suite
+checks and reads the point once.  metric_at and the Levi-Civita
+functions read tau without the domain check.
 
 complex_structure, type_projectors and holomorphic_frame depend on n
 only: each is built once per n and shared as a read-only array.
@@ -36,7 +40,7 @@ only: each is built once per n and shared as a read-only array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -216,11 +220,9 @@ def _real_chart(t, axes):
     return t
 
 
-def _tau(prep: Prepotential, z, domain: bool = True):
-    """tau = d^2 F at z, after the domain check unless domain is False; the
-    one place that holds the provider to an exactly symmetric tau."""
-    if domain:
-        prep.require_domain(z)
+def _tau(prep: Prepotential, z):
+    """tau = d^2 F at z; the one place that holds the provider to an
+    exactly symmetric tau."""
     tau = np.asarray(prep.hess(z), dtype=complex)
     if not np.array_equal(tau, tau.T):
         raise ValueError(f"{prep.name}: provider returned non-symmetric tau")
@@ -237,22 +239,48 @@ def _metric(tau, z) -> MetricData:
     return MetricData(imtau=g, g_real=_blockdiag(g), omega=_offdiag(-g, g))
 
 
-def _flat_jacobians(tau, z):
-    """(d(x, Re w)/du, d(p, Im w)/du), after the check that Im tau is far
-    enough from singular for (x, Re w) to be a chart."""
-    sv = np.linalg.svd(tau.imag, compute_uv=False)
-    if sv[-1] <= 1e-9 * sv[0]:
-        raise FlatChartDegenerateError(f"flat chart degenerate at point {z}")
-    dzw = _real_chart(np.concatenate([np.eye(len(tau)), tau]), (1,))   # d(z, w)/du
-    return dzw.real, dzw.imag
+class _Point:
+    """One sample point, read and checked once: its shape, the domain, an
+    exactly symmetric tau, a positive metric Im tau, then Im tau far
+    enough from singular for (x, Re w) to be a chart.  It keeps z, tau,
+    the metric and the flat-chart Jacobians jac = d(x, Re w)/du and
+    dpq = d(p, Im w)/du; C, jac^{-1}, the chart's second derivatives and
+    Gamma_flat are read or built on first use."""
+
+    def __init__(self, prep: Prepotential, z):
+        self.prep = prep
+        self.z = z = prep.as_point(z)
+        prep.require_domain(z)
+        self.tau = tau = _tau(prep, z)
+        self.metric = _metric(tau, z)
+        sv = np.linalg.svd(tau.imag, compute_uv=False)
+        if sv[-1] <= 1e-9 * sv[0]:
+            raise FlatChartDegenerateError(f"flat chart degenerate at point {z}")
+        dzw = _real_chart(np.concatenate([np.eye(len(tau)), tau]), (1,))   # d(z, w)/du
+        self.jac, self.dpq = dzw.real, dzw.imag
+
+    @cached_property
+    def third(self):
+        return np.asarray(self.prep.third(self.z), dtype=complex)
+
+    @cached_property
+    def jinv(self):
+        return np.linalg.inv(self.jac)
+
+    @cached_property
+    def second(self):
+        return _flat_second(self.third)
+
+    @cached_property
+    def gamma_flat(self):
+        """Christoffels of the flat connection: jac^{-1} second."""
+        return np.einsum("ka,aij->kij", self.jinv, self.second)
 
 
-def _checked(prep: Prepotential, z):
-    """(tau, metric, flat Jacobian) after the checks of the domain, tau,
-    the metric and the chart, in that order."""
-    tau = _tau(prep, z)
-    md = _metric(tau, z)
-    return tau, md, _flat_jacobians(tau, z)[0]
+def _point(prep: Prepotential, z) -> _Point:
+    """The checked record of the point z; a record is returned as it is, so
+    every public (prep, z) function also takes one."""
+    return z if isinstance(z, _Point) else _Point(prep, z)
 
 
 def metric_at(prep: Prepotential, z) -> MetricData:
@@ -261,7 +289,7 @@ def metric_at(prep: Prepotential, z) -> MetricData:
     Positivity of Im tau is the check this operation owns, so it is
     evaluated wherever tau is defined; the domain predicate is enforced
     by the samplers and the stencil-based checks."""
-    return _metric(_tau(prep, z, domain=False), z)
+    return _metric(_tau(prep, z), z)
 
 
 def _metric_derivatives(c):
@@ -273,11 +301,10 @@ def _metric_derivatives(c):
 
 def flat_chart_at(prep: Prepotential, z) -> FlatChart:
     """Darboux data (x, y) = (Re z, Re w), momenta (p, q) = (Im z, Im w)."""
-    z = prep.as_point(z)
-    jac = _flat_jacobians(_tau(prep, z), z)[0]
-    w = np.asarray(prep.grad(z), dtype=complex)
-    second = _flat_second(prep.third(z))
-    return FlatChart(x=z.real, y=w.real, p=z.imag, q=w.imag, jacobian=jac, second=second)
+    p = _point(prep, z)
+    w = np.asarray(prep.grad(p.z), dtype=complex)
+    return FlatChart(x=p.z.real, y=w.real, p=p.z.imag, q=w.imag, jacobian=p.jac,
+                     second=p.second)
 
 
 def _flat_second(c):
@@ -288,52 +315,45 @@ def _flat_second(c):
     return np.concatenate([np.zeros_like(d2w), d2w], axis=-3)
 
 
-def _flat_jet(jac, c, q=None):
-    """(Gamma, dGamma) of the flat connection: Gamma = Jac^{-1} second from
-    C, and with the fourth derivatives q (else None) dGamma[d, k, i, j] =
-    d_d Gamma^k_{ij} along the real-chart direction d, as
+def _flat_dgamma(p: _Point, q):
+    """dGamma[d, k, i, j] = d_d Gamma^k_{ij} of the flat connection along the
+    real-chart direction d, from the fourth derivatives q, as
     Jac^{-1} (d second - dJac Gamma), where dJac[d][a, b] = second[a, d, b]
     because Jac = dxi/du."""
-    jinv = np.linalg.inv(jac)
-    second = _flat_second(c)
-    gamma = np.einsum("ka,aij->kij", jinv, second)
-    if q is None:
-        return gamma, None
     dsecond = _flat_second(_real_chart(q, (0,)))
-    djac_gamma = np.einsum("adb,bij->daij", second, gamma)
-    return gamma, np.einsum("ka,daij->dkij", jinv, dsecond - djac_gamma)
+    djac_gamma = np.einsum("adb,bij->daij", p.second, p.gamma_flat)
+    return np.einsum("ka,daij->dkij", p.jinv, dsecond - djac_gamma)
 
 
 def flat_omega_residual(prep: Prepotential, z) -> float:
     """Sup-norm distance of the pushed-forward Kahler form from the
     standard Darboux matrix in the flat chart."""
-    _, md, jac = _checked(prep, z)
-    jinv = np.linalg.inv(jac)
-    omega_flat = jinv.T @ md.omega @ jinv
+    p = _point(prep, z)
+    omega_flat = p.jinv.T @ p.metric.omega @ p.jinv
     return float(np.max(np.abs(omega_flat - darboux_matrix(prep.n))))
 
 
 def flat_structure_certificate(prep: Prepotential, z) -> float:
     """Residual of d(p,q)/d(x,y) against the matrix of I in the flat
     chart (the numerical certificate that nabla X = I)."""
-    jac, dpq_du = _flat_jacobians(_tau(prep, z), z)
-    jinv = np.linalg.inv(jac)
-    lhs = dpq_du @ jinv
-    rhs = jac @ complex_structure(prep.n) @ jinv
+    p = _point(prep, z)
+    lhs = p.dpq @ p.jinv
+    rhs = p.jac @ complex_structure(prep.n) @ p.jinv
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def flat_connection_at(prep: Prepotential, z):
     """Christoffels of the flat connection in the real chart, from the
     transformation out of the chart where it vanishes."""
-    return _flat_jet(_flat_jacobians(_tau(prep, z), z)[0], prep.third(z))[0]
+    return _point(prep, z).gamma_flat
 
 
 def flat_connection_jet(prep: Prepotential, z):
     """(Gamma, dGamma) of the flat connection from one flat-chart build,
     with dGamma[d, k, i, j] = d_d Gamma^k_{ij} along the real-chart
     direction d."""
-    return _flat_jet(_flat_jacobians(_tau(prep, z), z)[0], prep.third(z), prep.fourth(z))
+    p = _point(prep, z)
+    return p.gamma_flat, _flat_dgamma(p, prep.fourth(p.z))
 
 
 def _lowered_christoffel(dg):
@@ -391,9 +411,8 @@ def lc_holomorphic(prep: Prepotential, z):
 def higgs_at(prep: Prepotential, z):
     """(A, Abar, off-type residual): A is the (1,0)-form part of
     nabla - D mapping T^{1,0} -> T^{0,1}; Abar its conjugate."""
-    _, md, jac = _checked(prep, z)
-    c = prep.third(z)
-    return _higgs_split(_flat_jet(jac, c)[0] - _lc_jet(md.g_real, c)[0])
+    p = _point(prep, z)
+    return _higgs_split(p.gamma_flat - _lc_jet(p.metric.g_real, p.third)[0])
 
 
 def _higgs_split(ar):
@@ -497,15 +516,13 @@ def check_equations(prep: Prepotential, z, tol: float = 1e-5, h: float = 1e-5) -
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    z = prep.as_point(z)
-    _, md, jac = _checked(prep, z)
-    c, q = prep.third(z), prep.fourth(z)
+    p = _point(prep, z)
+    q = prep.fourth(p.z)
     p10, p01 = type_projectors(prep.n)
 
-    gamma_d, d_lc = _lc_jet(md.g_real, c, q)
-    gamma_f, d_flat = _flat_jet(jac, c, q)
-    ar = gamma_f - gamma_d
-    d_ar = d_flat - d_lc
+    gamma_d, d_lc = _lc_jet(p.metric.g_real, p.third, q)
+    ar = p.gamma_flat - gamma_d
+    d_ar = _flat_dgamma(p, q) - d_lc
     # the type projection is constant: A's stack is that of nabla - D, projected
     a, abar, _ = _higgs_split(ar)
     r_d = _curvature(gamma_d, d_lc)
@@ -532,11 +549,9 @@ def check_special_conditions(prep: Prepotential, z, tol: float = 1e-5) -> Equati
     """Residuals of the defining conditions: symmetry of (nabla I),
     nabla omega = 0 and d omega = 0.  The tau-symmetry behind Re Omega = 0
     is a hard check: reading a non-symmetric tau raises ValueError."""
-    z = prep.as_point(z)
-    _, md, jac = _checked(prep, z)
-    c = prep.third(z)
-    _, domega = _metric_derivatives(c)
-    gamma, _ = _flat_jet(jac, c)
+    p = _point(prep, z)
+    _, domega = _metric_derivatives(p.third)
+    gamma = p.gamma_flat
     im = complex_structure(prep.n)
 
     comm = np.einsum("cie,ej->cij", gamma, im) - np.einsum("ce,eij->cij", im, gamma)
@@ -545,8 +560,8 @@ def check_special_conditions(prep: Prepotential, z, tol: float = 1e-5) -> Equati
     # (nabla_a omega)_{bc} = d_a O_{bc} - G^e_{ab} O_{ec} - G^e_{ac} O_{be}
     nab = (
         domega
-        - np.einsum("eab,ec->abc", gamma, md.omega)
-        - np.einsum("eac,be->abc", gamma, md.omega)
+        - np.einsum("eab,ec->abc", gamma, p.metric.omega)
+        - np.einsum("eac,be->abc", gamma, p.metric.omega)
     )
 
     # (d omega)_{abc} = d_a O_{bc} - d_b O_{ac} + d_c O_{ab}
@@ -592,15 +607,9 @@ def kahler_potential_residual(prep: Prepotential, z) -> float:
 def vhs_holomorphy_residual(prep: Prepotential, z) -> float:
     """Sup of the (0,1)-component of nabla_{Ybar} X over the constant
     holomorphic coordinate frames (the holomorphic-subbundle condition)."""
-    return _holomorphy_residual(flat_connection_at(prep, z))
-
-
-def _holomorphy_residual(gamma) -> float:
-    """vhs_holomorphy_residual from the flat connection's Christoffels."""
-    gamma = gamma.astype(complex)
-    n = gamma.shape[-1] // 2
-    frame = holomorphic_frame(n)
-    _, p01 = type_projectors(n)
+    gamma = flat_connection_at(prep, z).astype(complex)
+    frame = holomorphic_frame(prep.n)
+    _, p01 = type_projectors(prep.n)
     vals = np.einsum("kab,aJ,bj->kJj", gamma, np.conj(frame), frame)
     return float(np.max(np.abs(np.einsum("ck,kJj->cJj", p01, vals))))
 
@@ -668,23 +677,17 @@ def sample_points(prep: Prepotential, count: int, seed: int, h: float = 1e-5):
 def point_data(prep: Prepotential, z) -> SpecialKahlerPoint:
     """All pointwise geometry in one structure; the curvature of the
     Levi-Civita connection comes from its analytic jet."""
-    z = prep.as_point(z)
-    tau, md, jac = _checked(prep, z)
-    w = np.asarray(prep.grad(z), dtype=complex)
-    c = np.asarray(prep.third(z), dtype=complex)
-    chart = FlatChart(x=z.real, y=w.real, p=z.imag, q=w.imag, jacobian=jac,
-                      second=_flat_second(c))
-    gamma_flat, _ = _flat_jet(jac, c)
-    gamma_lc, d_lc = _lc_jet(md.g_real, c, prep.fourth(z))
-    a, abar, offtype = _higgs_split(gamma_flat - gamma_lc)
+    p = _point(prep, z)
+    gamma_lc, d_lc = _lc_jet(p.metric.g_real, p.third, prep.fourth(p.z))
+    a, abar, offtype = _higgs_split(p.gamma_flat - gamma_lc)
     return SpecialKahlerPoint(
-        z=z,
-        tau=tau,
-        third=c,
-        metric=md,
-        flat=chart,
+        z=p.z,
+        tau=p.tau,
+        third=p.third,
+        metric=p.metric,
+        flat=flat_chart_at(prep, p),
         imat=complex_structure(prep.n),
-        gamma_flat=gamma_flat,
+        gamma_flat=p.gamma_flat,
         gamma_lc=gamma_lc,
         higgs=a,
         higgs_bar=abar,

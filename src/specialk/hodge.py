@@ -525,14 +525,13 @@ def vhs_from_special_kahler(prep, points, tol: float = 1e-5):
     the report), plus the holomorphic-subbundle residual.
 
     Only the polarization depends on the point; the Hodge structure is
-    tangent_hodge_structure(n).  Each point reads tau and C once, after the
-    checks of the domain, tau, the metric and the flat chart."""
+    tangent_hodge_structure(n).  Each point is read as its checked record
+    (geometry._point), which a point may already be."""
     reports = []
     for z in points:
-        z = prep.as_point(z)
-        _, md, jac = geometry._checked(prep, z)
-        hol = geometry._holomorphy_residual(geometry._flat_jet(jac, prep.third(z))[0])
-        q_exact, err_q = rationalize_matrix(-md.omega)
+        p = geometry._point(prep, z)
+        hol = geometry.vhs_holomorphy_residual(prep, p)
+        q_exact, err_q = rationalize_matrix(-p.metric.omega)
         pure = True
         pol = None
         try:
@@ -542,7 +541,7 @@ def vhs_from_special_kahler(prep, points, tol: float = 1e-5):
             pure = False
         reports.append(
             {
-                "point": [[float(c.real), float(c.imag)] for c in z],
+                "point": [[float(c.real), float(c.imag)] for c in p.z],
                 "holomorphy_residual": hol,
                 "holomorphy_pass": bool(hol < tol),
                 "pure_weight_1": pure,

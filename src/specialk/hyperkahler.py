@@ -37,6 +37,7 @@ import numpy as np
 from . import geometry, hodge, rees
 from .exact import ExactMatrix, rationalize_matrix, std_complex_structure
 from .prepotentials import Prepotential
+from .utils import XorShift
 
 __all__ = [
     "CotangentPoint",
@@ -88,23 +89,17 @@ class HyperkahlerFrame:
     g_inv: np.ndarray      # its inverse
 
 
-def _frame_blocks(prep: Prepotential, pt: CotangentPoint, jet: bool = False):
-    """(md, s, s_inv): the base metric, the frame matrix and its inverse,
-    from one read of tau and C; with jet=True also (Gamma_flat, dGamma_flat,
-    dg), read with d^4 F, the jet along which structure_derivative_stacks
-    differentiates it."""
-    _, md, jac = geometry._checked(prep, pt.z)
-    c = prep.third(pt.z)
-    gamma, dgamma = geometry._flat_jet(jac, c, prep.fourth(pt.z) if jet else None)
+def _frame_blocks(prep: Prepotential, pt: CotangentPoint):
+    """(p, s, s_inv): the checked record of the base point (geometry._point),
+    the frame matrix and its inverse, from the record's Gamma_flat."""
+    p = geometry._point(prep, pt.z)
     n2 = 2 * prep.n
-    w = np.einsum("cab,c->ab", gamma, pt.alpha)
+    w = np.einsum("cab,c->ab", p.gamma_flat, pt.alpha)
     s = np.eye(2 * n2)
     s[n2:, :n2] = w
     s_inv = np.eye(2 * n2)
     s_inv[n2:, :n2] = -w
-    if not jet:
-        return md, s, s_inv
-    return md, s, s_inv, gamma, dgamma, geometry._metric_derivatives(c)[0]
+    return p, s, s_inv
 
 
 def tangent_split_at(prep: Prepotential, pt: CotangentPoint) -> HyperkahlerFrame:
@@ -113,8 +108,8 @@ def tangent_split_at(prep: Prepotential, pt: CotangentPoint) -> HyperkahlerFrame
     return _tangent_split(pt, *_frame_blocks(prep, pt))
 
 
-def _tangent_split(pt: CotangentPoint, md, s, s_inv) -> HyperkahlerFrame:
-    g = md.g_real
+def _tangent_split(pt: CotangentPoint, p, s, s_inv) -> HyperkahlerFrame:
+    g = p.metric.g_real
     ginv = np.linalg.inv(g)
     ibase = geometry.complex_structure(len(g) // 2)
     # I, J and gTM in the (horizontal, vertical) frame, carried to coordinates
@@ -188,13 +183,15 @@ def structure_derivative_stacks(prep: Prepotential, pt: CotangentPoint, h: float
     dS S^-1 = S dS = dS and the conjugations leave commutators with dS.
     nijenhuis_at and kahler_form_closedness take the result as _stacks, so
     one build serves both; h is unused, kept for the callers that pass it."""
-    md, s, s_inv, gamma, dgamma, dg = _frame_blocks(prep, pt, jet=True)
-    fr = _tangent_split(pt, md, s, s_inv)
+    p, s, s_inv = _frame_blocks(prep, pt)
+    fr = _tangent_split(pt, p, s, s_inv)
     n2 = 2 * prep.n
     n4 = 2 * n2
     ds = np.zeros((n4, n4, n4))
+    dgamma = geometry._flat_dgamma(p, prep.fourth(p.z))
     ds[:n2, n2:, :n2] = np.einsum("dcab,c->dab", dgamma, pt.alpha)
-    ds[n2:, n2:, :n2] = gamma
+    ds[n2:, n2:, :n2] = p.gamma_flat
+    dg = geometry._metric_derivatives(p.third)[0]
     # frame parts: dJ_f = [[0, g^-1 dg g^-1], [dg, 0]], dG_f = blockdiag(dg, -g^-1 dg g^-1)
     dginv = fr.g_inv @ dg @ fr.g_inv
     along_alpha = np.zeros((n2, n4, n4))
@@ -341,8 +338,8 @@ def correspondence_check(prep: Prepotential, pt: CotangentPoint) -> float:
     Of the frame only S^{-1}, g^{-1} and J are read, so I, K and gTM are
     not built; J comes from _coordinate_j, as in tangent_split_at, so it
     has the same bits."""
-    md, s, s_inv = _frame_blocks(prep, pt)
-    g = md.g_real
+    p, s, s_inv = _frame_blocks(prep, pt)
+    g = p.metric.g_real
     ginv = np.linalg.inv(g)
     jmat = _coordinate_j(s, s_inv, g, ginv)
     n = prep.n
@@ -363,8 +360,6 @@ def correspondence_check(prep: Prepotential, pt: CotangentPoint) -> float:
 def sample_cotangent_points(prep: Prepotential, count: int, seed: int, h: float = 1e-5):
     """Seeded cotangent points: base points from the entry's box, covector
     components uniform in [-1, 1]."""
-    from .utils import XorShift
-
     base = geometry.sample_points(prep, count, seed, h=h)
     rng = XorShift(seed ^ 0x5DEECE66D)
     pts = []

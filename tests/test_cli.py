@@ -223,6 +223,62 @@ class TestVerify:
         assert run(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_one_point_reads_its_jet_once(self, monkeypatch, capsys):
+        """One cubic point, the work of --points 3 less that of --points 2,
+        reads tau at most twice (its checked record and the potential
+        check's metric), C and d^4 F once, and runs at most two metric
+        Choleskys, one chart SVD and at most two inverses (g and the flat
+        Jacobian)."""
+        from specialk.prepotentials import Cubic
+
+        counts = {}
+
+        def count(owner, name):
+            method = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return method(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for name in ("hess", "third", "fourth"):
+            count(Cubic, name)
+        for name in ("cholesky", "svd", "inv"):
+            count(np.linalg, name)
+        runs = []
+        for points in ("2", "3"):
+            counts.clear()
+            assert run(["verify", "--entry", "cubic", "--points", points]) == 0
+            runs.append(dict(counts))
+        capsys.readouterr()
+        one = {k: runs[1].get(k, 0) - runs[0].get(k, 0) for k in runs[1]}
+        assert (one["third"], one["fourth"], one["svd"]) == (1, 1, 1), one
+        assert max(one["hess"], one["cholesky"], one["inv"]) <= 2, one
+
+    @pytest.mark.parametrize("entry", ["cubic", "swlog", "coupled", "quadratic(n=3)"])
+    def test_shared_record_keeps_every_bit(self, entry, capsys):
+        """Each sample's residuals and checks are, bit for bit, those of the
+        public (prep, z) calls made one by one on the raw point."""
+        from specialk import geometry, hodge
+        from specialk.prepotentials import parse_entry
+
+        assert run(["verify", "--entry", entry, "--points", "4", "--seed", "7"]) == 0
+        samples = strict_loads(capsys.readouterr().out)["samples"]
+        prep = parse_entry(entry)
+        for sample, z in zip(samples, geometry.sample_points(prep, 4, seed=7), strict=True):
+            residuals = dict(geometry.check_equations(prep, z).residuals)
+            residuals.update(geometry.check_special_conditions(prep, z).residuals)
+            vhs = hodge.vhs_from_special_kahler(prep, [z])[0]
+            residuals["kahler_potential"] = geometry.kahler_potential_residual(prep, z)
+            residuals["darboux"] = geometry.flat_omega_residual(prep, z)
+            residuals["flat_structure"] = geometry.flat_structure_certificate(prep, z)
+            residuals["vhs_holomorphy"] = vhs["holomorphy_residual"]
+            checks = {"pure_weight_1": vhs["pure_weight_1"],
+                      "polarization": vhs["polarization_pass"]}
+            assert stable_json(sample["residuals"]) == stable_json(residuals)
+            assert sample["checks"] == checks
+
 
 class TestRees:
     def test_pure_split(self, tmp_path, capsys):
@@ -349,9 +405,13 @@ class TestRees:
              "exponent beyond 4300 in scalar literal '1e4301'"),
             ('{"dim": 1, "steps": [[["1e-4301"]]]}',
              "exponent beyond 4300 in scalar literal '1e-4301'"),
+            # one digit over the digit-run bound, in a decimal literal
+            ('{"dim": 1, "steps": [[["1.' + "5" * 43001 + '"]]]}',
+             f"more than 43000 digits in scalar literal {'1.' + '5' * 38!r}..."),
         ],
         ids=["float-dim", "bool-dim", "huge-dim", "string-dim", "scalar-real-structure",
-             "flat-real-structure", "literal-exponent", "negative-literal-exponent"],
+             "flat-real-structure", "literal-exponent", "negative-literal-exponent",
+             "literal-digit-run"],
     )
     def test_bad_input_is_one_line_data_error(self, tmp_path, capsys, text, message):
         path = write(tmp_path, "bad.json", text)
@@ -416,6 +476,37 @@ class TestHyperkahler:
         assert run(["hk", "nijenhuis", "--entry", "coupled", "--points", "3"]) == 0
         strict_loads(capsys.readouterr().out)
         assert len(built) == 3
+
+    @pytest.mark.parametrize("suite", ["check", "nijenhuis", "correspondence"])
+    @pytest.mark.parametrize("entry", ["cubic", "swlog", "coupled", "quadratic(n=3)"])
+    def test_shared_record_keeps_every_bit(self, entry, suite, capsys):
+        """Each sample's residuals are, bit for bit, those of the public
+        (prep, pt) calls made one by one, each building its own frame."""
+        from specialk import hyperkahler as hk
+        from specialk.prepotentials import parse_entry
+        from specialk.utils import XorShift
+
+        run(["hk", suite, "--entry", entry, "--points", "4", "--seed", "7"])
+        samples = strict_loads(capsys.readouterr().out)["samples"]
+        prep = parse_entry(entry)
+        rng = XorShift(7)
+        zetas = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(8)]
+        for sample, pt in zip(samples, hk.sample_cotangent_points(prep, 4, seed=7),
+                              strict=True):
+            if suite == "check":
+                fr = hk.tangent_split_at(prep, pt)
+                residuals = {"quaternion": hk.quaternion_residual(fr),
+                             "g_orthogonality": hk.orthogonality_residual(fr)}
+            elif suite == "nijenhuis":
+                structures = [*"IJK", *zetas]
+                names = [f"nijenhuis_{s}" for s in "IJK"] + [f"nijenhuis_zeta{k}" for k in range(8)]
+                residuals = {name: hk.nijenhuis_at(prep, pt, s, h=1e-4)
+                             for name, s in zip(names, structures)}
+                closed = hk.kahler_form_closedness(prep, pt, h=1e-4)
+                residuals.update((f"domega_{s}", v) for s, v in closed.items())
+            else:
+                residuals = {"correspondence": hk.correspondence_check(prep, pt)}
+            assert stable_json(sample["residuals"]) == stable_json(residuals)
 
     def test_nijenhuis_near_boundary_gets_verdict(self, monkeypatch, capsys):
         """A point 1e-4 from cubic's boundary, inside any stencil's reach at

@@ -315,6 +315,21 @@ class TestLongValues:
         with pytest.raises(ValueError, match=f"more than {MAX_LITERAL_DIGITS} digits"):
             ExactComplex.parse("1/" + "3" * (MAX_LITERAL_DIGITS + 1))
 
+    @pytest.mark.parametrize(
+        "text,value",
+        [
+            ("1." + "5" * 5000, 1 + Fraction(5 * (10**5000 - 1), 9 * 10**5000)),
+            ("1" * 5000 + "e2", Fraction((10**5000 - 1) // 9 * 100)),
+            ("-." + "7" * 900 + "e-1_0", -Fraction(7 * (10**900 - 1) // 9, 10**910)),
+            ("\t" + "1" * 5000 + "e2\t", Fraction((10**5000 - 1) // 9 * 100)),
+        ],
+        ids=["point", "exponent", "signed-exponent", "tabs"],
+    )
+    def test_long_decimal_literal(self, text, value):
+        """A decimal-point or exponent literal reads its digit runs in
+        pieces too, as the Fraction its digits spell."""
+        assert ExactComplex.parse(text) == ExactComplex(value)
+
 
 class TestSubspace:
     def test_intersection_idempotent(self):

@@ -629,3 +629,17 @@ def test_one_call_reads_each_jet_order_once(cls, call, monkeypatch):
         monkeypatch.setattr(cls, name, counted)
     ONE_READ_CALLS[call](prep, z, pt)
     assert max(counts.values()) == 1, counts
+
+
+@pytest.mark.parametrize("call", [geo.flat_omega_residual, geo.flat_structure_certificate],
+                         ids=lambda f: f.__name__)
+def test_flat_chart_residuals_read_tau_alone(call, monkeypatch):
+    """A point's record reads C, and builds Gamma_flat, only for a suite
+    that asks: the flat-chart residuals read tau alone."""
+    prep = Cubic()
+    z = entry_points(prep, 1, seed=7)[0]
+    reads = []
+    for name in ("third", "fourth"):
+        monkeypatch.setattr(Cubic, name, lambda self, zz, _name=name: reads.append(_name))
+    call(prep, z)
+    assert reads == []
