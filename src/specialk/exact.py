@@ -269,8 +269,9 @@ def _literal_fraction(token, text):
         if len(token) <= _CHUNK_DIGITS:
             return Fraction(token)
         # Fraction also reads a literal with whitespace, such as tabs, around it
-        ratio = _RATIO.fullmatch(token.strip())
-        form = ratio or _DECIMAL.fullmatch(token.strip())
+        token = token.strip()
+        ratio = _RATIO.fullmatch(token)
+        form = ratio or _DECIMAL.fullmatch(token)
         if not form:
             return Fraction(token)
         # runs too long for int(), as str prints them: read them in pieces
