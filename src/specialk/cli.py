@@ -128,24 +128,30 @@ def cmd_verify(args) -> int:
                   header=lambda prep: {"polarization_sign": "Q=-omega"})
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_rees_input(path):
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        # numbers keep their text, so each is read as its string form is:
+        # exactly, and within the literal bounds however long
+        obj = json.load(fh, parse_float=str, parse_constant=_refuse_constant,
+                        parse_int=lambda text: ExactComplex.parse(text).re.numerator)
     filt = Filtration.from_json(obj)
-    n = filt.ambient_dim
+    conjugate = obj.get("conjugate", False)
+    if not isinstance(conjugate, bool):
+        raise ValueError("'conjugate' must be true or false")
     if "conjugate_steps" in obj:
         fbar = Filtration.from_json({"dim": obj["dim"], "steps": obj["conjugate_steps"]})
+    elif conjugate and "real_structure" in obj:
+        rows = obj["real_structure"]
+        if not (isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows)):
+            raise ValueError("'real_structure' must be a list of rows")
+        entries = [[hodge._json_scalar(e) for e in row] for row in rows]
+        fbar = filt.conjugate(RealStructure(ExactMatrix(entries)))
     else:
-        if obj.get("conjugate", False) and "real_structure" in obj:
-            rows = obj["real_structure"]
-            if not (isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows)):
-                raise ValueError("'real_structure' must be a list of rows")
-            rstruct = RealStructure(
-                ExactMatrix([[ExactComplex.parse(str(e)) for e in row] for row in rows])
-            )
-        else:
-            rstruct = RealStructure.conjugation(n)
-        fbar = filt.conjugate(rstruct)
+        fbar = filt.conjugate(RealStructure.conjugation(filt.ambient_dim))
     return filt, fbar
 
 

@@ -134,25 +134,13 @@ class ExactComplex:
         return not self.is_zero()
 
     # -- conversions ---------------------------------------------------
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-    @staticmethod
-    def from_complex(z):
-        """Nearest Gaussian rational with denominators at most
-        MAX_DENOMINATOR; returns (value, absolute rounding error)."""
-        z = complex(z)
-        p, q, err_re = _limit(z.real)
-        r, s, err_im = _limit(z.imag)
-        return ExactComplex(Fraction(p, q), Fraction(r, s)), hypot(err_re, err_im)
-
     # a term runs to the next sign, except the sign of an exponent (1e-5)
     _TERM = _re.compile(r"[+-]?(?:[eE][+-]|[^+-])+")
 
     @staticmethod
     def parse(text: str) -> "ExactComplex":
         """Parse the text form 'a/b+c/d*i' (either part omittable)."""
-        s = text.replace(" ", "")
+        s = text.replace(" ", "").strip()
         if not s:
             raise ValueError("empty ExactComplex literal")
         tokens = ExactComplex._TERM.findall(s)
@@ -165,12 +153,9 @@ class ExactComplex:
                 if im_part is not None:
                     raise ValueError(f"repeated imaginary part in {text!r}")
                 body = tok[:-1].rstrip("*")
-                if body in ("", "+"):
-                    im_part = Fraction(1)
-                elif body == "-":
-                    im_part = Fraction(-1)
-                else:
-                    im_part = _literal_fraction(body, text)
+                if body in ("", "+", "-"):   # a bare i has coefficient 1
+                    body += "1"
+                im_part = _literal_fraction(body, text)
             else:
                 if re_part is not None:
                     raise ValueError(f"repeated real part in {text!r}")
@@ -205,9 +190,6 @@ class ExactComplex:
 # 4300 is Python's default digit limit for int strings.
 MAX_LITERAL_EXPONENT = 4300
 
-_EXPONENT = _re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*$")
-
-
 # Python refuses to convert ints of more than 4300 decimal digits to or
 # from text (and a lower limit may be set, though never below 640), so
 # longer values are converted in pieces of at most _CHUNK_DIGITS digits;
@@ -221,11 +203,13 @@ _CHUNK_BITS = 1993
 # two literals at the exponent bound.
 MAX_LITERAL_DIGITS = 10 * MAX_LITERAL_EXPONENT
 
-# The two literal forms Fraction reads, as (sign, digit run, digit run):
-# an integer ratio, and a decimal with an optional point and exponent.
+# Fraction's literal grammar, whitespace around it: a sign, then an integer
+# ratio or a decimal with an optional point and exponent, each digit run
+# with single underscores; groups (sign, head, den, tail, exp sign, exp).
 _RUN = r"\d+(?:_\d+)*"
-_RATIO = _re.compile(rf"([+-]?)({_RUN})/({_RUN})")
-_DECIMAL = _re.compile(rf"([+-]?)(?=\.?\d)({_RUN})?(?:\.({_RUN})?)?(?:[eE][-+]?{_RUN})?")
+_LITERAL = _re.compile(
+    rf"\s*([+-]?)(?=\.?\d)({_RUN})?(?:/({_RUN})|(?:\.({_RUN})?)?(?:[eE]([+-]?)({_RUN}))?)\s*"
+)
 
 
 def _int_text(n):
@@ -247,49 +231,45 @@ def _fraction_text(f):
     return _int_text(f.numerator) + "/" + _int_text(f.denominator)
 
 
-def _digits_value(text):
-    """The int of a run of decimal digits of any length."""
-    if len(text) <= _CHUNK_DIGITS:
-        return int(text)
-    k = len(text) // 2
-    return _digits_value(text[:-k]) * 10**k + _digits_value(text[-k:])
+def _digits(run, text, exponent=False):
+    """The int of a digit run (or None) of the literal text, underscores
+    dropped, read _CHUNK_DIGITS digits at a time and refused before it is
+    built past MAX_LITERAL_DIGITS digits or, as an exponent, past
+    MAX_LITERAL_EXPONENT.  An exponent's leading zeros, in any script,
+    count for nothing, as they do for int."""
+    run = (run or "").replace("_", "")
+    if exponent:
+        run = "".join(map(str, map(int, run))).lstrip("0")
+    if len(run) > MAX_LITERAL_DIGITS:
+        raise ValueError(
+            f"more than {MAX_LITERAL_DIGITS} digits in scalar literal {text[:40]!r}..."
+        )
+    value = 0
+    for i in range(0, len(run), _CHUNK_DIGITS):
+        chunk = run[i : i + _CHUNK_DIGITS]
+        value = value * 10 ** len(chunk) + int(chunk)
+    if exponent and value > MAX_LITERAL_EXPONENT:
+        raise ValueError(f"exponent beyond {MAX_LITERAL_EXPONENT} in scalar literal {text!r}")
+    return value
 
 
 def _literal_fraction(token, text):
-    m = _EXPONENT.search(token)
-    exponent = 0
-    if m:
-        for digit in m.group(1).replace("_", ""):
-            exponent = 10 * exponent + int(digit)
-            if exponent > MAX_LITERAL_EXPONENT:
-                raise ValueError(
-                    f"exponent beyond {MAX_LITERAL_EXPONENT} in scalar literal {text!r}"
-                )
-    try:
-        if len(token) <= _CHUNK_DIGITS:
-            return Fraction(token)
-        # Fraction also reads a literal with whitespace, such as tabs, around it
-        token = token.strip()
-        ratio = _RATIO.fullmatch(token)
-        form = ratio or _DECIMAL.fullmatch(token)
-        if not form:
-            return Fraction(token)
-        # runs too long for int(), as str prints them: read them in pieces
-        sign, head, tail = (g.replace("_", "") if g else "" for g in form.groups())
-        if max(len(head), len(tail)) > MAX_LITERAL_DIGITS:
-            raise ValueError(
-                f"more than {MAX_LITERAL_DIGITS} digits in scalar literal {text[:40]!r}..."
-            )
-        if ratio:
-            value = Fraction(_digits_value(head), _digits_value(tail))
-        else:
-            # head.tail times 10 to the exponent, whose size is bounded above
-            if m and "-" in m.group(0):
-                exponent = -exponent
-            value = _digits_value(head + tail) * Fraction(10) ** (exponent - len(tail))
-        return -value if sign == "-" else value
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    """The Fraction of a real literal token of text, as Fraction(token)
+    reads it, with digit runs of any length within the bounds."""
+    form = _LITERAL.fullmatch(token)
+    if not form:
+        raise ValueError(f"malformed ExactComplex literal {text!r}")
+    sign, head, den, tail, exp_sign, exp = form.groups()
+    # head.tail / den times 10 to the exponent; a ratio has no tail or
+    # exponent, and a decimal the denominator 1
+    tail = (tail or "").replace("_", "")
+    value = _digits(tail, text) + _digits(head, text) * 10 ** len(tail)
+    shift = _digits(exp, text, exponent=True) * (-1 if exp_sign == "-" else 1)
+    den = _digits(den or "1", text)
+    if not den:
+        raise ValueError(f"zero denominator in {text!r}")
+    value = Fraction(value, den) * Fraction(10) ** (shift - len(tail))
+    return -value if sign == "-" else value
 
 
 # Denominator bound of the float -> rational bridge.  Each part of a double

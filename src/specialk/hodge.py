@@ -104,6 +104,19 @@ class RealStructure:
         return self.s == other.s
 
 
+def _json_scalar(value) -> ExactComplex:
+    """The scalar of a JSON entry, as json.load gives it with
+    parse_float=str: a string or a number, read from its text, or an int.
+    Any other value is refused with its JSON kind."""
+    if isinstance(value, str):
+        return ExactComplex.parse(value)
+    if type(value) is int:
+        return ExactComplex(value)
+    kinds = {type(None): "null", bool: "a boolean", list: "an array", dict: "an object"}
+    kind = kinds.get(type(value), f"a Python {type(value).__name__}")
+    raise ValueError(f"a scalar must be a JSON string or number, not {kind}")
+
+
 class Filtration:
     """Complete decreasing filtration V = F^0 >= F^1 >= ... >= F^len = 0."""
 
@@ -199,7 +212,7 @@ class Filtration:
             for vec in step:
                 if not isinstance(vec, list) or len(vec) != dim:
                     raise ValueError(f"vectors must have length {dim}")
-                vecs.append([ExactComplex.parse(str(e)) for e in vec])
+                vecs.append([_json_scalar(e) for e in vec])
             subs.append(Subspace.span(dim, vecs))
         if not subs[0].is_full():
             raise ValueError("first step must span the full space")

@@ -386,6 +386,21 @@ class TestRees:
         assert captured.out == ""
         assert captured.err == "error: inconsistent filtration: zero denominator in '1/0'\n"
 
+    @pytest.mark.parametrize("number", ["1e-400", "1e400", "1" + "0" * 4999],
+                             ids=["1e-400", "1e400", "5000-digit-integer"])
+    def test_bare_number_reads_as_its_string(self, tmp_path, capsys, number):
+        """A JSON number is read exactly from its text, as the string of the
+        same text is: 1e-400 is not rounded to 0, 1e400 not to inf, and a
+        5000-digit integer is not held to Python's 4300-digit limit."""
+        doc = '{"dim": 2, "steps": [[[%s, "0"], ["0", "1"]], [[%s, "i"]]]}'
+        outputs = []
+        for entry in (number, f'"{number}"'):
+            path = write(tmp_path, "number.json", doc % (entry, entry))
+            assert run(["rees", "split", path]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert strict_loads(outputs[0].out)["splitting"] == [1, 1]
+
     @pytest.mark.parametrize(
         "text,message",
         [
@@ -408,10 +423,34 @@ class TestRees:
             # one digit over the digit-run bound, in a decimal literal
             ('{"dim": 1, "steps": [[["1.' + "5" * 43001 + '"]]]}',
              f"more than 43000 digits in scalar literal {'1.' + '5' * 38!r}..."),
+            # and in a bare JSON integer, read by the same reader
+            ('{"dim": 1, "steps": [[[1' + "0" * 43000 + ']]]}',
+             f"more than 43000 digits in scalar literal {'1' + '0' * 39!r}..."),
+            # a scalar is a JSON string or number: other kinds are named
+            ('{"dim": 1, "steps": [[[null]]]}',
+             "a scalar must be a JSON string or number, not null"),
+            ('{"dim": 1, "steps": [[[true]]]}',
+             "a scalar must be a JSON string or number, not a boolean"),
+            ('{"dim": 1, "steps": [[[[1]]]]}',
+             "a scalar must be a JSON string or number, not an array"),
+            ('{"dim": 1, "steps": [[[{"a": 1}]]]}',
+             "a scalar must be a JSON string or number, not an object"),
+            ('{"dim": 1, "steps": [[[NaN]]]}', "NaN is not a JSON number"),
+            ('{"dim": 2, "steps": [[["1", "0"], ["0", "1"]]], "conjugate": true,'
+             ' "real_structure": [[null, "1", "0", "0"]]}',
+             "a scalar must be a JSON string or number, not null"),
+            # the string "false" is not false: it no longer applies the
+            # real structure (the identity, which would fail its own check)
+            ('{"dim": 2, "steps": [[["1", "0"], ["0", "1"]]], "conjugate": "false",'
+             ' "real_structure": [["1", "0", "0", "0"], ["0", "1", "0", "0"],'
+             ' ["0", "0", "1", "0"], ["0", "0", "0", "1"]]}',
+             "'conjugate' must be true or false"),
         ],
         ids=["float-dim", "bool-dim", "huge-dim", "string-dim", "scalar-real-structure",
              "flat-real-structure", "literal-exponent", "negative-literal-exponent",
-             "literal-digit-run"],
+             "literal-digit-run", "bare-integer-digit-run", "null-scalar", "boolean-scalar",
+             "array-scalar", "object-scalar", "nan-scalar", "null-real-structure-entry",
+             "string-conjugate"],
     )
     def test_bad_input_is_one_line_data_error(self, tmp_path, capsys, text, message):
         path = write(tmp_path, "bad.json", text)

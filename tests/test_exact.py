@@ -4,11 +4,12 @@ from fractions import Fraction
 from math import hypot
 
 import pytest
-from hypothesis import example, given, strategies
+from hypothesis import example, given, settings, strategies
 
 from randgen import matrix, properties, scalar, vector
 from specialk.exact import (
     MAX_DENOMINATOR,
+    MAX_LITERAL_DIGITS,
     MAX_LITERAL_EXPONENT,
     ExactComplex,
     ExactMatrix,
@@ -42,6 +43,44 @@ _COMPLEX_MATRICES = strategies.integers(1, 3).flatmap(
         min_size=1, max_size=3))
 
 
+# Fraction's literal grammar, with digits in four scripts (ASCII,
+# Arabic-Indic, fullwidth and mathematical bold: Unicode decimal digits come
+# in runs of ten from a zero) and whitespace Fraction strips
+_DIGIT_ZEROS = (0x30, 0x660, 0xFF10, 0x1D7CE)
+_DIGITS = "".join(chr(zero + d) for zero in _DIGIT_ZEROS for d in range(10))
+_RUNS = strategies.lists(strategies.text(_DIGITS, min_size=1, max_size=5),
+                         min_size=1, max_size=3).map("_".join)
+_SPACE = strategies.text(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000", max_size=2)
+# characters of one-character edits; parse also drops inner spaces and reads
+# i, I and * as an imaginary part, so an edit never adds those
+_EDITS = "0123456789_./eE+-\t\u0663x"
+
+
+@strategies.composite
+def _fraction_literals(draw):
+    """A literal of Fraction's grammar (a ratio, or a decimal with optional
+    point and an exponent of at most 60 with leading zeros), or one edit of
+    one, with whitespace around it."""
+    pick = lambda options: draw(strategies.sampled_from(options))  # noqa: E731
+    if draw(strategies.booleans()):
+        body = draw(_RUNS) + "/" + draw(_RUNS)
+    else:
+        body = pick(["", draw(_RUNS)]) + pick(["", ".", "." + draw(_RUNS)])
+        if draw(strategies.booleans()):
+            zeros, exponent = draw(strategies.integers(0, 5)), draw(strategies.integers(0, 60))
+            exponent = "0" * zeros + str(exponent)
+            body += pick("eE") + pick(["", "+", "-"])
+            body += "".join(chr(pick(_DIGIT_ZEROS) + int(d)) for d in exponent)
+    text = pick(["", "+", "-"]) + body
+    if draw(strategies.booleans()):
+        k = draw(strategies.integers(0, len(text)))
+        edit = pick(["", *_EDITS])   # "" deletes
+        text = text[:k] + edit + text[k + (edit == "" or draw(strategies.booleans())):]
+    # whitespace goes around the edited text: an edit after a space would
+    # leave an inner space, which Fraction refuses and parse drops
+    return draw(_SPACE) + text + draw(_SPACE)
+
+
 def _rationalize(z):
     """The bridge on Fraction objects, the oracle of the integer one:
     (re, im, absolute error) with each part Fraction.limit_denominator's
@@ -51,6 +90,12 @@ def _rationalize(z):
     re = x.limit_denominator(MAX_DENOMINATOR)
     im = y.limit_denominator(MAX_DENOMINATOR)
     return re, im, hypot(float(re - x), float(im - y))
+
+
+def _bridge(z):
+    """The float bridge on one entry: (value, absolute rounding error)."""
+    m, err = rationalize_matrix([[z]])
+    return m[0, 0], err
 
 
 class TestExactComplex:
@@ -109,10 +154,36 @@ class TestExactComplex:
         assert bound == 4300
         assert ExactComplex.parse(f"1e{bound}") == ExactComplex(10**bound)
         assert ExactComplex.parse(f"-3e0_{bound}*i") == ExactComplex(0, -3 * 10**bound)
+        # an exponent's leading zeros count for nothing, however many, in
+        # any script
+        assert ExactComplex.parse("1e" + "0" * 5000 + "1") == ExactComplex(10)
+        for zero in "0\u0660":
+            many = zero * (MAX_LITERAL_DIGITS + 1)
+            assert ExactComplex.parse(f"1e{many}1") == ExactComplex(10)
         for bad in (f"1e{bound + 1}", f"2.5E{bound + 1}", f"1-4e00{bound + 1}*i",
                     f"1e{bound + 1:_}", f"1e-{bound + 1}"):
             with pytest.raises(ValueError, match=f"exponent beyond {bound} in scalar literal"):
                 ExactComplex.parse(bad)
+
+    @settings(properties, max_examples=1000)
+    @given(_fraction_literals())
+    def test_parse_reads_fraction_grammar(self, text):
+        """One grammar at every length: a literal that Fraction reads, with
+        its exponent inside the bound, parses to the same value, and any
+        other text is refused with a one-line ValueError."""
+        _, e, exponent = text.strip().lower().rpartition("e")
+        try:
+            # an edit can push the exponent past the bound, where Fraction
+            # would build the whole power of ten
+            if e and abs(int(exponent)) > MAX_LITERAL_EXPONENT:
+                raise ValueError(exponent)
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValueError) as refused:
+                ExactComplex.parse(text)
+            assert "\n" not in str(refused.value)
+        else:
+            assert ExactComplex.parse(text) == ExactComplex(value)
 
     def test_boxed_parts_are_exact_fractions(self):
         """Entries read off kernel rows keep the Fractions they are built
@@ -142,10 +213,10 @@ class TestExactComplex:
             assert ExactComplex.parse(str(x)) == x
 
     def test_rationalization_reports_error(self):
-        val, err = ExactComplex.from_complex(0.5 + 0.25j)
+        val, err = _bridge(0.5 + 0.25j)
         assert val == ExactComplex(Fraction(1, 2), Fraction(1, 4))
         assert err == 0.0
-        val, err = ExactComplex.from_complex(2.0 / 3.0)
+        val, err = _bridge(2.0 / 3.0)
         assert val == ExactComplex(Fraction(2, 3))
         assert err == abs(float(val.re - Fraction(2.0 / 3.0)))
         assert err < 1e-12
@@ -154,8 +225,8 @@ class TestExactComplex:
         """At 10^12 denominators the rational rounds back to the same
         double, so only the exact difference shows the error."""
         x = 0.7316151209613437
-        val, err = ExactComplex.from_complex(x)
-        assert val.to_complex() == x
+        val, err = _bridge(x)
+        assert complex(val.re, val.im) == x
         assert err == abs(float(val.re - Fraction(x)))
         assert 1e-26 < err < 1e-25
 
@@ -166,7 +237,7 @@ class TestExactComplex:
         MAX_DENOMINATOR, so it lies within 1 / (2 MAX_DENOMINATOR) of the
         double and the error stays below 1e-12 at every scale: the bridge
         needs no guard on it."""
-        val, err = ExactComplex.from_complex(complex(x, y))
+        val, err = _bridge(complex(x, y))
         assert val.re == Fraction(x).limit_denominator(MAX_DENOMINATOR)
         assert val.im == Fraction(y).limit_denominator(MAX_DENOMINATOR)
         assert err == hypot(float(val.re - Fraction(x)), float(val.im - Fraction(y)))
@@ -308,8 +379,6 @@ class TestLongValues:
         assert Filtration.from_json(filt.to_json()) == filt
 
     def test_digit_run_bound(self):
-        from specialk.exact import MAX_LITERAL_DIGITS
-
         sevens = 7 * (10**MAX_LITERAL_DIGITS - 1) // 9
         assert ExactComplex.parse("7" * MAX_LITERAL_DIGITS) == ExactComplex(sevens)
         with pytest.raises(ValueError, match=f"more than {MAX_LITERAL_DIGITS} digits"):

@@ -104,7 +104,7 @@ def test_entrywise_operations_match_reference(data):
     assert ma.is_zero() == all(x.is_zero() for row in a for x in row)
     assert ma.is_real() == all(x.is_real() for row in a for x in row)
     assert all(ma[i, j] == a[i][j] for i in range(r) for j in range(c))
-    assert ma.to_numpy().tolist() == [[x.to_complex() for x in row] for row in a]
+    assert ma.to_numpy().tolist() == [[complex(x.re, x.im) for x in row] for row in a]
 
 
 @properties
