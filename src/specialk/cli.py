@@ -18,8 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__, geometry, hodge, hyperkahler, rees
-from .exact import ExactComplex, ExactMatrix
-from .hodge import Filtration, RealStructure
+from .exact import ExactComplex
 from .prepotentials import catalog, parse_entry
 from .utils import XorShift, stable_json
 
@@ -138,21 +137,7 @@ def _load_rees_input(path):
         # exactly, and within the literal bounds however long
         obj = json.load(fh, parse_float=str, parse_constant=_refuse_constant,
                         parse_int=lambda text: ExactComplex.parse(text).re.numerator)
-    filt = Filtration.from_json(obj)
-    conjugate = obj.get("conjugate", False)
-    if not isinstance(conjugate, bool):
-        raise ValueError("'conjugate' must be true or false")
-    if "conjugate_steps" in obj:
-        fbar = Filtration.from_json({"dim": obj["dim"], "steps": obj["conjugate_steps"]})
-    elif conjugate and "real_structure" in obj:
-        rows = obj["real_structure"]
-        if not (isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows)):
-            raise ValueError("'real_structure' must be a list of rows")
-        entries = [[hodge._json_scalar(e) for e in row] for row in rows]
-        fbar = filt.conjugate(RealStructure(ExactMatrix(entries)))
-    else:
-        fbar = filt.conjugate(RealStructure.conjugation(filt.ambient_dim))
-    return filt, fbar
+    return hodge.filtration_pair_from_json(obj)
 
 
 def cmd_rees(args) -> int:

@@ -33,14 +33,15 @@ __all__ = [
 
 
 class ExactComplex:
-    """A Gaussian rational re + im*i with Fraction components.  A part
-    given as a Fraction is kept as it is (Fractions are immutable)."""
+    """A Gaussian rational re + im*i whose parts are given as ints or
+    Fractions (a Fraction is kept as it is); text enters through parse,
+    floats through rationalize_matrix."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else _part(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else _part(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactComplex is immutable")
@@ -182,7 +183,14 @@ class ExactComplex:
         return "".join(parts)
 
     def __repr__(self):
-        return f"ExactComplex('{self}')"
+        return f"ExactComplex.parse('{self}')"
+
+
+def _part(x) -> Fraction:
+    """The Fraction of an int or Fraction-subclass part; nothing else."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"ExactComplex parts are ints or Fractions, not {type(x).__name__}")
+    return Fraction(x)
 
 
 # Largest decimal exponent a scalar literal may carry, refused before any
@@ -222,6 +230,13 @@ def _int_text(n):
     k = n.bit_length() * 3 // 20   # about half the digits, bits * log10(2) / 2
     hi, lo = divmod(n, 10**k)
     return _int_text(hi) + _int_text(lo).zfill(k)
+
+
+def _shown_int(n):
+    """An int as text, past 12 characters as its first 12 and its digit
+    count, so a refusal naming it stays one short line."""
+    text = _int_text(n)
+    return text if len(text) <= 12 else f"{text[:12]}... ({len(text.lstrip('-'))} digits)"
 
 
 def _fraction_text(f):

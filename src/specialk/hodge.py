@@ -17,6 +17,7 @@ from .exact import (
     ExactComplex,
     ExactMatrix,
     Subspace,
+    _shown_int,
     leading_minors_positive,
     rationalize_matrix,
     real_rep_antilinear,
@@ -27,6 +28,7 @@ __all__ = [
     "NotPureError",
     "RealStructure",
     "Filtration",
+    "filtration_pair_from_json",
     "Polarization",
     "HodgeStructure",
     "QuaternionicStructure",
@@ -211,12 +213,31 @@ class Filtration:
             vecs = []
             for vec in step:
                 if not isinstance(vec, list) or len(vec) != dim:
-                    raise ValueError(f"vectors must have length {dim}")
+                    raise ValueError(f"vectors must have length 'dim' = {_shown_int(dim)}")
                 vecs.append([_json_scalar(e) for e in vec])
             subs.append(Subspace.span(dim, vecs))
         if not subs[0].is_full():
             raise ValueError("first step must span the full space")
         return cls.from_proper_steps(dim, subs[1:])
+
+
+def filtration_pair_from_json(obj):
+    """(F, Fbar) of a rees document: F from 'dim' and 'steps', and Fbar from
+    'conjugate_steps' if given, else the image of F under the 2n x 2n real
+    matrix 'real_structure' if given, else coordinatewise conjugation.  A
+    document giving both is refused: it would spell Fbar twice."""
+    filt = Filtration.from_json(obj)
+    if "conjugate_steps" in obj and "real_structure" in obj:
+        raise ValueError("give 'conjugate_steps' or 'real_structure', not both")
+    if "conjugate_steps" in obj:
+        return filt, Filtration.from_json({"dim": obj["dim"], "steps": obj["conjugate_steps"]})
+    if "real_structure" not in obj:
+        return filt, filt.conjugate(RealStructure.conjugation(filt.ambient_dim))
+    rows = obj["real_structure"]
+    if not (isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows)):
+        raise ValueError("'real_structure' must be a list of rows")
+    entries = [[_json_scalar(e) for e in row] for row in rows]
+    return filt, filt.conjugate(RealStructure(ExactMatrix(entries)))
 
 
 @dataclass(frozen=True)
@@ -281,14 +302,12 @@ class HodgeStructure:
         return f"HodgeStructure(weight {self.weight}, dims {dims})"
 
 
-def filtration_to_hodge(f: Filtration, fbar: Filtration, r: RealStructure,
-                        weight: int) -> HodgeStructure:
-    """Recover the decomposition V^{k,l} = F^k intersect Fbar^l; raises
-    NotPureError when some F^k (+) Fbar^{p-k+1} fails to be all of V."""
-    if f.ambient_dim != fbar.ambient_dim or f.ambient_dim != r.m:
+def filtration_to_hodge(f: Filtration, r: RealStructure, weight: int) -> HodgeStructure:
+    """Recover the decomposition V^{k,l} = F^k intersect Fbar^l, Fbar = r(F);
+    raises NotPureError when some F^k (+) Fbar^{p-k+1} fails to be all of V."""
+    if f.ambient_dim != r.m:
         raise ValueError("ambient dimension mismatch")
-    if f.conjugate(r) != fbar:
-        raise ValueError("Fbar must be the conjugate filtration r(F)")
+    fbar = f.conjugate(r)
     n = f.ambient_dim
     for k in range(0, weight + 2):
         a = f.step(k)
@@ -529,7 +548,7 @@ def tangent_hodge_structure(n: int) -> HodgeStructure:
     ]
     rstruct = RealStructure.conjugation(m)
     filt = Filtration.from_proper_steps(m, [Subspace.span(m, frame)])
-    return filtration_to_hodge(filt, filt.conjugate(rstruct), rstruct, 1)
+    return filtration_to_hodge(filt, rstruct, 1)
 
 
 def vhs_from_special_kahler(prep, points, tol: float = 1e-5):

@@ -16,6 +16,8 @@ import re as _re
 
 import numpy as np
 
+from .exact import _shown_int
+
 __all__ = [
     "DomainError",
     "Prepotential",
@@ -40,13 +42,10 @@ class DomainError(ValueError):
 
 
 def _shown(value) -> str:
-    """repr of a refused parameter value; an integer of more than 12
-    characters shows its first 12 and its digit count, as _parse_value
-    does, so the refusal stays one short line."""
-    text = repr(value)
-    if isinstance(value, numbers.Integral) and len(text) > 12:
-        return f"{text[:12]}... ({sum(c.isdigit() for c in text)} digits)"
-    return text
+    """repr of a refused parameter value; an int of more than 12 characters
+    shows its first 12 and its digit count, as _parse_value does, so the
+    refusal stays one short line."""
+    return _shown_int(value) if type(value) is int else repr(value)
 
 
 class Prepotential:
@@ -269,21 +268,15 @@ class CatalogEntry:
         return self.factory(**params)
 
 
-def _swlog(**kw):
-    # 'lambda' and 'lam' name the same parameter
-    if len(kw) > 1:
-        raise ValueError("catalog entry 'swlog' takes 'lambda' or 'lam', not both")
-    return SWLog(lam=kw.get("lambda", kw.get("lam", 1.0)))
-
-
 _CATALOG = [
     CatalogEntry("quadratic", lambda n=1: Quadratic(n=n),
                  "flat model F = (i/2) sum z_k^2 (tau0 = i Id; param n)", ("n",)),
     CatalogEntry("cubic", lambda: Cubic(),
                  "F = z^3 on the upper half plane"),
-    CatalogEntry("swlog", _swlog,
+    # 'lambda' is a Python keyword, so it arrives in **kw
+    CatalogEntry("swlog", lambda **kw: SWLog(kw.get("lambda", 1.0)),
                  "F = (i/pi) z^2 log(z/lambda) away from the cut (param lambda)",
-                 ("lambda", "lam")),
+                 ("lambda",)),
     CatalogEntry("coupled", lambda: Coupled(),
                  "F = (i/2)(z1^2+z2^2) + z1 z2^2, 2-dimensional"),
 ]

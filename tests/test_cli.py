@@ -119,6 +119,7 @@ class TestVerify:
             ["verify", "--entry", "cubic(x=1)"],
             ["verify", "--entry", "quadratic(n=2,n=3)"],
             ["verify", "--entry", "swlog(lambda=1,lam=2)"],
+            ["verify", "--entry", "swlog(lam=2)"],
             ["verify", "--entry", "swlog(lambda=nan)"],
             ["verify", "--entry", "swlog(lambda=inf)"],
             ["verify", "--entry", "quadratic(n=13)"],
@@ -338,6 +339,24 @@ class TestRees:
         assert run(["rees", "split", path]) == 0
         assert json.loads(capsys.readouterr().out)["splitting"] == [1, 1]
 
+    def test_real_structure_is_applied_without_conjugate_flag(self, tmp_path, capsys):
+        """A given real_structure makes Fbar whether or not the document also
+        carries "conjugate": true; the coordinate swap splits F = <e1> as
+        (1, 1), where coordinate conjugation would give (2, 0)."""
+        obj = dict(IMPURE_C2)
+        obj["real_structure"] = [
+            ["0", "1", "0", "0"],
+            ["1", "0", "0", "0"],
+            ["0", "0", "0", "-1"],
+            ["0", "0", "-1", "0"],
+        ]
+        outputs = []
+        for name, doc in (("rs.json", obj), ("flag.json", {**obj, "conjugate": True})):
+            assert run(["rees", "split", write(tmp_path, name, doc)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert strict_loads(outputs[0].out)["splitting"] == [1, 1]
+
     def test_empty_steps_is_data_error(self, tmp_path, capsys):
         path = write(tmp_path, "empty.json", {"dim": 2, "steps": []})
         assert run(["rees", "split", path]) == 4
@@ -439,18 +458,26 @@ class TestRees:
             ('{"dim": 2, "steps": [[["1", "0"], ["0", "1"]]], "conjugate": true,'
              ' "real_structure": [[null, "1", "0", "0"]]}',
              "a scalar must be a JSON string or number, not null"),
-            # the string "false" is not false: it no longer applies the
-            # real structure (the identity, which would fail its own check)
+            # 'conjugate' is not read: a given real structure is applied, and
+            # the identity fails its own check
             ('{"dim": 2, "steps": [[["1", "0"], ["0", "1"]]], "conjugate": "false",'
              ' "real_structure": [["1", "0", "0", "0"], ["0", "1", "0", "0"],'
              ' ["0", "0", "1", "0"], ["0", "0", "0", "1"]]}',
-             "'conjugate' must be true or false"),
+             "real structure must anticommute with i"),
+            # Fbar given twice
+            ('{"dim": 1, "steps": [[["1"]]], "conjugate_steps": [[["1"]]],'
+             ' "real_structure": [["1", "0"], ["0", "-1"]]}',
+             "give 'conjugate_steps' or 'real_structure', not both"),
+            # str cannot print an int past 4300 digits; the refusal names dim
+            # by its first digits and its digit count
+            ('{"dim": 1' + "0" * 4999 + ', "steps": [[["1"]]]}',
+             "vectors must have length 'dim' = 100000000000... (5000 digits)"),
         ],
         ids=["float-dim", "bool-dim", "huge-dim", "string-dim", "scalar-real-structure",
              "flat-real-structure", "literal-exponent", "negative-literal-exponent",
              "literal-digit-run", "bare-integer-digit-run", "null-scalar", "boolean-scalar",
              "array-scalar", "object-scalar", "nan-scalar", "null-real-structure-entry",
-             "string-conjugate"],
+             "string-conjugate", "both-conjugate-keys", "5000-digit-dim"],
     )
     def test_bad_input_is_one_line_data_error(self, tmp_path, capsys, text, message):
         path = write(tmp_path, "bad.json", text)

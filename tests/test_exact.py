@@ -1,8 +1,12 @@
 """Exact scalars, matrices and subspaces."""
 
+import math
+import time
+from decimal import Decimal
 from fractions import Fraction
 from math import hypot
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies
 
@@ -14,11 +18,13 @@ from specialk.exact import (
     ExactComplex,
     ExactMatrix,
     Subspace,
+    _limit,
     rationalize_matrix,
     real_rep_antilinear,
     real_rep_linear,
     std_complex_structure,
 )
+from specialk.geometry import _offdiag
 from specialk.utils import XorShift
 
 
@@ -206,6 +212,25 @@ class TestExactComplex:
 
         assert type(ExactComplex(Sub(1, 2)).re) is Fraction
 
+    @pytest.mark.parametrize("part", ["1e9999999", "1/2", 0.1, Decimal("0.1"), np.int64(3)],
+                             ids=["str-exponent", "str-ratio", "float", "Decimal", "numpy-int"])
+    def test_parts_are_ints_and_fractions(self, part):
+        """Text enters through parse and floats through rationalize_matrix:
+        any other part is refused by its type at once, before Fraction could
+        read a str through a second, unbounded grammar (Fraction("1e9999999")
+        builds a ten-million-digit integer)."""
+        for args in ((part,), (0, part)):
+            start = time.perf_counter()
+            with pytest.raises(TypeError, match=f"not {type(part).__name__}$"):
+                ExactComplex(*args)
+            assert time.perf_counter() - start < 0.5
+
+    @properties
+    @given(strategies.fractions(), strategies.fractions())
+    def test_repr_round_trip(self, re, im):
+        x = ExactComplex(re, im)
+        assert eval(repr(x), {"ExactComplex": ExactComplex}) == x
+
     def test_format_parse_round_trip(self):
         rng = XorShift(3)
         for _ in range(200):
@@ -317,6 +342,52 @@ class TestExactMatrix:
         assert repr(err) == repr(err_c)
         # Python floats take the real path as numpy's float64 does
         assert rationalize_matrix(entries)[0]._rows == exact._rows
+
+    # Farey neighbours a < b, b.numerator * a.denominator - a.numerator *
+    # b.denominator = 1, with denominators at most MAX_DENOMINATOR: their
+    # midpoint is where _limit's tie rule decides
+    _FAREY_NEIGHBOURS = [
+        (Fraction(0), Fraction(1, 10**12)),
+        (Fraction(1, 10**12), Fraction(1, 10**12 - 1)),
+        (Fraction(10**12 - 1, 10**12), Fraction(1)),
+        (Fraction(1, 3), Fraction(333333333333, 999999999998)),
+        (Fraction(2), Fraction(2 * 10**12 + 1, 10**12)),
+    ]
+    _MIDPOINTS = [float((a + b) / 2) for a, b in _FAREY_NEIGHBOURS]
+
+    @pytest.mark.parametrize(
+        "x",
+        [0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+         1 - 2.0**-53, 1 + 2.0**-52, 3.0000000000000004, 2.9999999999999996,
+         1e12 + 0.5, 1.7e308,
+         *_MIDPOINTS, *(math.nextafter(m, 0.0) for m in _MIDPOINTS),
+         *(math.nextafter(m, math.inf) for m in _MIDPOINTS)],
+    )
+    def test_limit_is_odd_at_edges(self, x):
+        assert all(b.numerator * a.denominator - a.numerator * b.denominator == 1
+                   for a, b in self._FAREY_NEIGHBOURS)
+        p, q, err = _limit(x)
+        assert _limit(-x) == (-p, q, -err)
+
+    @properties
+    @given(_ALL_DOUBLES)
+    def test_limit_is_odd(self, x):
+        """_limit(-x) is (-p, q, -err): the bridge commutes with negation,
+        so vhs_from_special_kahler's rationalized -omega keeps Q^T = -Q."""
+        p, q, err = _limit(x)
+        assert _limit(-x) == (-p, q, -err)
+
+    @properties
+    @given(strategies.integers(1, 3).flatmap(
+        lambda n: strategies.lists(_ALL_DOUBLES, min_size=n * n, max_size=n * n)))
+    def test_rationalized_omega_is_antisymmetric(self, values):
+        """For a symmetric g, omega = [[0, -g], [g, 0]] rationalizes to an
+        exactly antisymmetric matrix, as the weight-1 Polarization needs."""
+        n = math.isqrt(len(values))
+        g = np.array(values).reshape(n, n)
+        g = np.triu(g) + np.triu(g, 1).T
+        q, _ = rationalize_matrix(-_offdiag(-g, g))
+        assert q.T == -q
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
     def test_rationalize_non_finite_raises_alike(self, bad):

@@ -132,22 +132,21 @@ class TestFiltrationToHodge:
 
     def test_transverse_line(self):
         f = Filtration.from_proper_steps(2, [Subspace.span(2, [["1", "i"]])])
-        h = filtration_to_hodge(f, f.conjugate(self.r), self.r, 1)
+        h = filtration_to_hodge(f, self.r, 1)
         assert h.component(1, 0) == Subspace.span(2, [["1", "i"]])
         assert h.component(0, 1) == Subspace.span(2, [["1", "-i"]])
 
     def test_not_pure(self):
         f = Filtration.from_proper_steps(2, [Subspace.span(2, [["1", "0"]])])
         with pytest.raises(NotPureError):
-            filtration_to_hodge(f, f.conjugate(self.r), self.r, 1)
+            filtration_to_hodge(f, self.r, 1)
 
     def test_round_trip_via_quaternionic(self):
         rng = XorShift(101)
         for _ in range(5):
             h = weight1_structure(rng, 4)
             f = hodge_to_filtration(h)
-            fbar = f.conjugate(h.real_structure)
-            h2 = filtration_to_hodge(f, fbar, h.real_structure, 1)
+            h2 = filtration_to_hodge(f, h.real_structure, 1)
             assert h2.component(1, 0) == h.component(1, 0)
             assert h2.component(0, 1) == h.component(0, 1)
 
@@ -156,7 +155,7 @@ class TestFiltrationToHodge:
         for _ in range(10):
             h = weight1_structure(rng, 4)
             f = hodge_to_filtration(h)
-            h2 = filtration_to_hodge(f, f.conjugate(h.real_structure), h.real_structure, 1)
+            h2 = filtration_to_hodge(f, h.real_structure, 1)
             assert hodge_to_filtration(h2) == f
 
     @pytest.mark.parametrize("weight", [0, 1, 2, 3])
@@ -188,7 +187,7 @@ class TestPolarization:
     def test_worked_example(self):
         r = RealStructure.conjugation(2)
         f = Filtration.from_proper_steps(2, [Subspace.span(2, [["1", "i"]])])
-        h = filtration_to_hodge(f, f.conjugate(r), r, 1)
+        h = filtration_to_hodge(f, r, 1)
         rep = check_polarization(h, self.q_std())
         assert rep.passed
         # direct exact evaluation of the positivity value
@@ -201,7 +200,7 @@ class TestPolarization:
     def test_sign_flip_fails(self):
         r = RealStructure.conjugation(2)
         f = Filtration.from_proper_steps(2, [Subspace.span(2, [["1", "i"]])])
-        h = filtration_to_hodge(f, f.conjugate(r), r, 1)
+        h = filtration_to_hodge(f, r, 1)
         qneg = Polarization(ExactMatrix([["0", "-1"], ["1", "0"]]), weight=1)
         rep = check_polarization(h, qneg)
         assert not rep.passed
