@@ -89,22 +89,19 @@ def _sweep(args, command, sampler, sample_at, header=None):
 
 
 def _verify_at(prep, z, args):
-    """One sample point of the verify sweep: every suite but the potential
-    check, which reads w off the point, reads one checked record of it."""
+    """One sample point of the verify sweep: every suite reads one checked
+    record of it."""
     p = geometry._point(prep, z)
     eq = geometry.check_equations(prep, p, tol=args.tol, h=args.step)
     sc = geometry.check_special_conditions(prep, p, tol=args.tol)
     vhs = hodge.vhs_from_special_kahler(prep, [p], tol=args.tol)[0]
     residuals = dict(eq.residuals)
     residuals.update(sc.residuals)
-    residuals["kahler_potential"] = geometry.kahler_potential_residual(prep, z)
+    residuals["kahler_potential"] = geometry.kahler_potential_residual(prep, p)
     residuals["darboux"] = geometry.flat_omega_residual(prep, p)
     residuals["flat_structure"] = geometry.flat_structure_certificate(prep, p)
     residuals["vhs_holomorphy"] = vhs["holomorphy_residual"]
-    checks = {
-        "pure_weight_1": vhs["pure_weight_1"],
-        "polarization": vhs["polarization_pass"],
-    }
+    checks = {"pure_weight_1": vhs["pure_weight_1"], "polarization": vhs["polarization_pass"]}
     # the potential check keeps the 1e-7 floor of the second differences it
     # replaced as a contract (its Cauchy integrals sit near 1e-12);
     # everything else is held to the requested tolerance
@@ -143,8 +140,8 @@ def _load_rees_input(path):
 def cmd_rees(args) -> int:
     try:
         filt, fbar = _load_rees_input(args.file)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        # the JSON reader raises RecursionError on arrays nested too deeply
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # undecodable text, bad JSON, or arrays nested too deeply to read
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -585,9 +585,12 @@ def kahler_potential_residual(prep: Prepotential, z) -> float:
     r = POTENTIAL_STEP * prep.scale.  Its error falls like (r / R)^N for a
     singularity at distance R, and its rounding is about eps |w| / r
     (Lyness & Moler 1967; Trefethen & Weideman 2014).  A node outside the
-    domain is a StencilError."""
-    z = prep.as_point(z)
-    md = metric_at(prep, z)
+    domain is a StencilError.  A checked record gives its own z and Im tau."""
+    if isinstance(z, _Point):
+        z, imtau = z.z, z.metric.imtau
+    else:
+        z = prep.as_point(z)
+        imtau = metric_at(prep, z).imtau
     n = prep.n
     r = POTENTIAL_STEP * prep.scale
     w = np.empty((n, len(_CIRCLE), n), dtype=complex)
@@ -601,7 +604,7 @@ def kahler_potential_residual(prep: Prepotential, z) -> float:
                 raise StencilError(f"shrink step or move point: {exc}") from exc
             w[a, k] = prep.grad(node)
     d = (np.conj(_CIRCLE) @ w) / (len(_CIRCLE) * r)
-    return float(np.max(np.abs((d - d.conj().T) / 2j - md.imtau)))
+    return float(np.max(np.abs((d - d.conj().T) / 2j - imtau)))
 
 
 def vhs_holomorphy_residual(prep: Prepotential, z) -> float:

@@ -222,11 +222,14 @@ class Filtration:
 
 
 def filtration_pair_from_json(obj):
-    """(F, Fbar) of a rees document: F from 'dim' and 'steps', and Fbar from
-    'conjugate_steps' if given, else the image of F under the 2n x 2n real
-    matrix 'real_structure' if given, else coordinatewise conjugation.  A
-    document giving both is refused: it would spell Fbar twice."""
+    """(F, Fbar) of a rees document: F from 'dim' and 'steps', Fbar from
+    'conjugate_steps', else the image of F under the 2n x 2n real matrix
+    'real_structure', else coordinatewise conjugation.  Both Fbar keys are
+    refused, as is any key but these and the legacy 'conjugate' (unread)."""
     filt = Filtration.from_json(obj)
+    unknown = set(obj) - {"dim", "steps", "conjugate_steps", "real_structure", "conjugate"}
+    if unknown:
+        raise ValueError(f"unknown key {min(unknown)!r} in rees document")
     if "conjugate_steps" in obj and "real_structure" in obj:
         raise ValueError("give 'conjugate_steps' or 'real_structure', not both")
     if "conjugate_steps" in obj:
@@ -552,33 +555,30 @@ def tangent_hodge_structure(n: int) -> HodgeStructure:
 
 
 def vhs_from_special_kahler(prep, points, tol: float = 1e-5):
-    """Pointwise weight-1 structure on the complexified tangent space with
-    the omega-based polarization (sign convention Q = -omega, flagged in
-    the report), plus the holomorphic-subbundle residual.
-
-    Only the polarization depends on the point; the Hodge structure is
-    tangent_hodge_structure(n).  Each point is read as its checked record
-    (geometry._point), which a point may already be."""
+    """Pointwise weight-1 structure tangent_hodge_structure(n), polarized by
+    Q = -omega = [[0, G], [-G, 0]] (flagged in the report), plus the
+    holomorphic-subbundle residual, each point read as its checked record.
+    For symmetric G = Im tau, V^{1,0} is Q-isotropic and x = (a, i a) in it
+    has i Q(x, conj x) = 2 a^T G conj(a), so check_polarization passes exactly
+    when the rationalized G has positive leading minors.  The bridge is odd,
+    so G's rationalization error is that of -omega; purity is a fact of n."""
+    try:
+        pure = tangent_hodge_structure(prep.n).weight == 1
+    except NotPureError:
+        pure = False
     reports = []
     for z in points:
         p = geometry._point(prep, z)
         hol = geometry.vhs_holomorphy_residual(prep, p)
-        q_exact, err_q = rationalize_matrix(-p.metric.omega)
-        pure = True
-        pol = None
-        try:
-            h = tangent_hodge_structure(prep.n)
-            pol = check_polarization(h, Polarization(q_exact, weight=1))
-        except NotPureError:
-            pure = False
+        g_exact, err_g = rationalize_matrix(p.metric.imtau)
         reports.append(
             {
                 "point": [[float(c.real), float(c.imag)] for c in p.z],
                 "holomorphy_residual": hol,
                 "holomorphy_pass": bool(hol < tol),
                 "pure_weight_1": pure,
-                "polarization_pass": bool(pol.passed) if pol is not None else False,
-                "rationalization_error": float(err_q),
+                "polarization_pass": pure and leading_minors_positive(g_exact),
+                "rationalization_error": float(err_g),
                 "polarization_sign": "Q=-omega",
             }
         )

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from randgen import properties
 from specialk.cli import main
+from specialk.exact import ExactMatrix
 from specialk.utils import stable_json
 
 PURE_C2 = {"dim": 2, "steps": [[["1", "0"], ["0", "1"]], [["1", "i"]]]}
@@ -226,10 +227,9 @@ class TestVerify:
 
     def test_one_point_reads_its_jet_once(self, monkeypatch, capsys):
         """One cubic point, the work of --points 3 less that of --points 2,
-        reads tau at most twice (its checked record and the potential
-        check's metric), C and d^4 F once, and runs at most two metric
-        Choleskys, one chart SVD and at most two inverses (g and the flat
-        Jacobian)."""
+        reads tau, C and d^4 F once each (the potential check reads the
+        record's metric), and runs one metric Cholesky, one chart SVD and
+        at most two inverses (g and the flat Jacobian)."""
         from specialk.prepotentials import Cubic
 
         counts = {}
@@ -254,8 +254,41 @@ class TestVerify:
             runs.append(dict(counts))
         capsys.readouterr()
         one = {k: runs[1].get(k, 0) - runs[0].get(k, 0) for k in runs[1]}
-        assert (one["third"], one["fourth"], one["svd"]) == (1, 1, 1), one
-        assert max(one["hess"], one["cholesky"], one["inv"]) <= 2, one
+        assert (one["hess"], one["third"], one["fourth"]) == (1, 1, 1), one
+        assert (one["cholesky"], one["svd"]) == (1, 1), one
+        assert one["inv"] <= 2, one
+
+    @pytest.mark.parametrize("entry", ["cubic", "coupled"])
+    @pytest.mark.parametrize(
+        "mutant",
+        [
+            lambda g: -g,      # Q = +omega, the sign convention flipped
+            # the last diagonal entry of G set to 0: on coupled only the
+            # last leading minor goes wrong
+            lambda g: ExactMatrix([
+                [0 if i == j == g.rows - 1 else g[i, j] for j in range(g.cols)]
+                for i in range(g.rows)
+            ]),
+        ],
+        ids=["negated", "zero-diagonal"],
+    )
+    def test_polarization_can_fail(self, entry, mutant, monkeypatch, capsys):
+        """A VHS point whose rationalized G = Im tau is not positive definite
+        fails checks.polarization, and only that check, at every point."""
+        from specialk import hodge
+
+        rationalize = hodge.rationalize_matrix
+
+        def mutated(array):
+            g, err = rationalize(array)
+            return mutant(g), err
+
+        monkeypatch.setattr(hodge, "rationalize_matrix", mutated)
+        assert run(["verify", "--entry", entry, "--points", "2"]) == 1
+        rep = strict_loads(capsys.readouterr().out)
+        for sample in rep["samples"]:
+            assert sample["checks"] == {"pure_weight_1": True, "polarization": False}
+            assert all(v < 1e-5 for v in sample["residuals"].values())
 
     @pytest.mark.parametrize("entry", ["cubic", "swlog", "coupled", "quadratic(n=3)"])
     def test_shared_record_keeps_every_bit(self, entry, capsys):
@@ -376,6 +409,24 @@ class TestRees:
         assert captured.err.startswith("error: malformed input: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+            (b'{"dim": 1, "steps": ', "Expecting value: line 1 column 21 (char 20)"),
+        ],
+        ids=["not-utf-8", "truncated-json"],
+    )
+    def test_unreadable_input_is_one_line_usage_error(self, tmp_path, capsys, data, message):
+        """Text that does not decode, or is not JSON, is malformed input
+        (exit 2), not a data error."""
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert run(["rees", "split", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed input: {message}\n"
+
     def test_inconsistent_chain_is_data_error(self, tmp_path, capsys):
         obj = {
             "dim": 2,
@@ -472,12 +523,18 @@ class TestRees:
             # by its first digits and its digit count
             ('{"dim": 1' + "0" * 4999 + ', "steps": [[["1"]]]}',
              "vectors must have length 'dim' = 100000000000... (5000 digits)"),
+            # a misspelled real_structure would silently fall back to
+            # coordinate conjugation, splitting (2, 0) in place of (1, 1)
+            ('{"dim": 2, "steps": [[["1", "0"], ["0", "1"]], [["1", "0"]]],'
+             ' "realstructure": [["0", "1", "0", "0"], ["1", "0", "0", "0"],'
+             ' ["0", "0", "0", "-1"], ["0", "0", "-1", "0"]]}',
+             "unknown key 'realstructure' in rees document"),
         ],
         ids=["float-dim", "bool-dim", "huge-dim", "string-dim", "scalar-real-structure",
              "flat-real-structure", "literal-exponent", "negative-literal-exponent",
              "literal-digit-run", "bare-integer-digit-run", "null-scalar", "boolean-scalar",
              "array-scalar", "object-scalar", "nan-scalar", "null-real-structure-entry",
-             "string-conjugate", "both-conjugate-keys", "5000-digit-dim"],
+             "string-conjugate", "both-conjugate-keys", "5000-digit-dim", "unknown-key"],
     )
     def test_bad_input_is_one_line_data_error(self, tmp_path, capsys, text, message):
         path = write(tmp_path, "bad.json", text)

@@ -373,7 +373,8 @@ class TestExactMatrix:
     @given(_ALL_DOUBLES)
     def test_limit_is_odd(self, x):
         """_limit(-x) is (-p, q, -err): the bridge commutes with negation,
-        so vhs_from_special_kahler's rationalized -omega keeps Q^T = -Q."""
+        so a rationalized -omega keeps Q^T = -Q, and its error is that of
+        G = Im tau, which vhs_from_special_kahler rationalizes alone."""
         p, q, err = _limit(x)
         assert _limit(-x) == (-p, q, -err)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from randgen import (
@@ -22,10 +22,13 @@ from specialk.exact import (
     ExactComplex,
     ExactMatrix,
     Subspace,
+    leading_minors_positive,
+    rationalize_matrix,
     real_rep_antilinear,
     real_rep_linear,
     std_complex_structure,
 )
+from specialk.geometry import _offdiag
 from specialk.hodge import (
     Filtration,
     HodgeStructure,
@@ -641,6 +644,105 @@ class TestVHS:
         reps = vhs_from_special_kahler(prep, pts)
         assert counts == {"hess": 3, "third": 3, "in_domain": 3}
         assert [r["holomorphy_residual"] for r in reps] == expect
+
+
+_MAX_DEN = 10**12
+
+
+@st.composite
+def _ratio(draw, bound=1, positive=False):
+    """A rational in [-bound, bound], or in (0, bound] if positive, whose
+    denominator is at most 10^12."""
+    q = draw(st.integers(1, _MAX_DEN))
+    return Fraction(draw(st.integers(1 if positive else -bound * q, bound * q)), q)
+
+
+@st.composite
+def _definite(draw, n):
+    """Strictly diagonally dominant with a positive diagonal: off-diagonal
+    entries in [-1, 1], diagonal entries in (n - 1, n]."""
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = n - 1 + draw(_ratio(positive=True))
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(_ratio())
+    return g
+
+
+@st.composite
+def symmetric_g(draw):
+    """A rational symmetric n x n G, n = 1..4, of one of five kinds:
+    positive definite; positive semidefinite and singular (a definite block
+    bordered by a zero row and column); indefinite or negative (a definite G
+    with one diagonal entry negated); singular of rank at most one (+-v v^T,
+    denominators at most 10^12); or any symmetric G."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["definite", "semidefinite", "indefinite", "rank1", "any"]))
+    if kind == "definite":
+        return draw(_definite(n))
+    if kind == "semidefinite":
+        g = draw(_definite(n - 1)) if n > 1 else []
+        k = draw(st.integers(0, n - 1))
+        g = [row[:k] + [Fraction(0)] + row[k:] for row in g]
+        return g[:k] + [[Fraction(0)] * n] + g[k:]
+    if kind == "indefinite":
+        g = draw(_definite(n))
+        k = draw(st.integers(0, n - 1))
+        g[k][k] = -g[k][k]
+        return g
+    if kind == "rank1":
+        v = [Fraction(draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 10**6)))
+             for _ in range(n)]
+        sign = draw(st.sampled_from([1, -1]))
+        return [[sign * a * b for b in v] for a in v]
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(_ratio(10**6))
+    return g
+
+
+def _minors_decide_polarization(g: ExactMatrix, q: ExactMatrix) -> None:
+    """check_polarization of tangent_hodge_structure(n) under Q = q passes
+    exactly when G has positive leading minors; a singular G makes Q
+    degenerate, and then only the minors give a verdict (False)."""
+    minors = leading_minors_positive(g)
+    try:
+        pol = Polarization(q, weight=1)
+    except ValueError as exc:
+        assert "nondegenerate" in str(exc)
+        assert g.rank() < g.rows and not minors
+        return
+    assert check_polarization(tangent_hodge_structure(g.rows), pol).passed is minors
+
+
+class TestTangentPolarization:
+    """The VHS point decides Q = -omega = [[0, G], [-G, 0]] by the leading
+    minors of G = Im tau alone; check_polarization is the oracle."""
+
+    @properties
+    @given(symmetric_g())
+    @example([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]])   # definite
+    @example([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])   # first minor 0
+    @example([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])   # singular
+    @example([[Fraction(-1)]])
+    def test_minors_of_g_decide_exact_polarization(self, g):
+        n = len(g)
+        g_exact = ExactMatrix(g)
+        zero = ExactMatrix.zeros(n, n)
+        _minors_decide_polarization(g_exact, ExactMatrix.blocks([[zero, g_exact],
+                                                                 [-g_exact, zero]]))
+
+    @properties
+    @given(symmetric_g())
+    def test_minors_of_rationalized_g_decide_rationalized_omega(self, g):
+        """Through the float bridge, as a sweep point runs it: G and
+        -omega rationalize to the same verdict and the same error bits."""
+        gf = np.array([[float(x) for x in row] for row in g])
+        g_exact, err_g = rationalize_matrix(gf)
+        q_exact, err_q = rationalize_matrix(-_offdiag(-gf, gf))
+        assert repr(err_g) == repr(err_q)
+        _minors_decide_polarization(g_exact, q_exact)
 
 
 class TestTangentHodgeStructure:
