@@ -30,8 +30,9 @@ Every suite reads one checked record of the point (_point), which checks
 the domain, tau, the metric and the flat chart once, in that order, and
 reads tau and C at most once.  Each public (prep, z) function also takes
 a record in place of z, so a sweep that hands one record to every suite
-checks and reads the point once.  metric_at and the Levi-Civita
-functions read tau without the domain check.
+checks and reads the point once.  metric_at alone reads tau raw, without
+the domain and flat-chart checks: it is the metric of a bare point, as
+the twistor pair and the raw-z potential check need it.
 
 complex_structure, type_projectors and holomorphic_frame depend on n
 only: each is built once per n and shared as a read-only array.
@@ -286,9 +287,11 @@ def _point(prep: Prepotential, z) -> _Point:
 def metric_at(prep: Prepotential, z) -> MetricData:
     """g_{jk} = Im tau_{jk}; raises if the point is metric-degenerate.
 
-    Positivity of Im tau is the check this operation owns, so it is
-    evaluated wherever tau is defined; the domain predicate is enforced
-    by the samplers and the stencil-based checks."""
+    The one raw reader of tau: it takes a bare z, not a record, and runs
+    only the check it owns, positivity of Im tau (one read of tau, one
+    Cholesky), wherever tau is defined.  The twistor pair and the raw-z
+    potential check need g alone, so they skip the record's domain and
+    flat-chart checks; the samplers keep their points inside the domain."""
     return _metric(_tau(prep, z), z)
 
 
@@ -389,23 +392,24 @@ def _lc_jet(g_real, c, q=None):
 
 def levi_civita_at(prep: Prepotential, z):
     """Levi-Civita Christoffels of g in the real chart (analytic)."""
-    return _lc_jet(metric_at(prep, z).g_real, prep.third(z))[0]
+    p = _point(prep, z)
+    return _lc_jet(p.metric.g_real, p.third)[0]
 
 
 def levi_civita_jet(prep: Prepotential, z):
     """(Gamma, dGamma) of the Levi-Civita connection at one point, with
     dGamma[d, k, i, j] = d_d Gamma^k_{ij} along the real-chart direction d,
     from tau, C and the fourth derivatives of F."""
-    return _lc_jet(metric_at(prep, z).g_real, prep.third(z), prep.fourth(z))
+    p = _point(prep, z)
+    return _lc_jet(p.metric.g_real, p.third, prep.fourth(p.z))
 
 
 def lc_holomorphic(prep: Prepotential, z):
     """Chern-connection Christoffels in holomorphic coordinates:
     Gamma^k_{ij} = g^{kl} d_i g_{jl} = (G^{-1} C / 2i)."""
-    md = metric_at(prep, z)
-    c = np.asarray(prep.third(z), dtype=complex)
-    ginv = np.linalg.inv(md.imtau)
-    return np.einsum("kl,ijl->kij", ginv, c) / 2j
+    p = _point(prep, z)
+    ginv = np.linalg.inv(p.metric.imtau)
+    return np.einsum("kl,ijl->kij", ginv, p.third) / 2j
 
 
 def higgs_at(prep: Prepotential, z):
@@ -445,14 +449,12 @@ def _project_form_slots(t, pa, pf):
 
 def _field_factory(prep: Prepotential, kind: str):
     """Field u -> Levi-Civita Christoffels at the point u of the real
-    chart, after the domain check; "lc" is the only kind."""
+    chart, whose record checks the domain first; "lc" is the only kind."""
     if kind != "lc":
         raise KeyError(kind)
 
     def field(u):
-        z = u_to_z(u)
-        prep.require_domain(z)
-        return levi_civita_at(prep, z)
+        return levi_civita_at(prep, u_to_z(u))
 
     return field
 

@@ -13,6 +13,10 @@ Frame conventions at a point (z, alpha) of T*M:
   metric identification of the fiber with the conjugate tangent space),
   K = I J, and the metric gTM = blockdiag(g, g^{-1}).
 
+Every float suite reads one frame record of the point (_frame_blocks),
+which builds g^{-1}, I, J, K and gTM on first read, each by one rule, so
+every suite that reads J reads the same bits.
+
 The Nijenhuis and closedness suites differentiate these fields by the
 chain rule from one frame build per point: the frame matrix moves with
 Gamma_flat and its u-derivative (from the catalog's fourth derivatives),
@@ -22,15 +26,13 @@ and the residuals sit at rounding level.
 The twistor normal-bundle check does only exact work that depends on the
 point: it rationalizes g, forms the exact g^{-1} and builds the exact pair,
 whose constructor forms all four relation products.  The Rees splitting
-it reports depends on n only and is read from a table built once per n;
-the correspondence check builds J alone, with the operations of the full
-frame, so its bits are those of tangent_split_at.
+it reports depends on n only and is read from a table built once per n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -76,22 +78,47 @@ class CotangentPoint:
         return CotangentPoint(z=geometry.u_to_z(t[:half]), alpha=t[half:].copy())
 
 
-@dataclass(frozen=True)
 class HyperkahlerFrame:
-    point: CotangentPoint
-    s: np.ndarray          # frame matrix, columns = horizontal + vertical
-    s_inv: np.ndarray
-    imat: np.ndarray       # coordinate-basis almost complex structures
-    jmat: np.ndarray
-    kmat: np.ndarray
-    gtm: np.ndarray        # induced metric, coordinate basis
-    g_real: np.ndarray     # base metric at the projection
-    g_inv: np.ndarray      # its inverse
+    """The frame record of one cotangent point: the point, the checked
+    record of its base point (geometry._point), the frame matrix S
+    (columns = horizontal + vertical), S^{-1} and the base metric g_real.
+    g^{-1}, I, J, K = IJ and gTM, in coordinates, are built on first read."""
+
+    def __init__(self, point: CotangentPoint, base, s, s_inv):
+        self.point = point
+        self.base = base
+        self.s = s
+        self.s_inv = s_inv
+        self.g_real = base.metric.g_real
+
+    @cached_property
+    def g_inv(self):
+        return np.linalg.inv(self.g_real)
+
+    @cached_property
+    def imat(self):
+        """I = S blockdiag(I_base, I_base^T) S^{-1}."""
+        ibase = geometry.complex_structure(len(self.g_real) // 2)
+        return self.s @ geometry._blockdiag(ibase, ibase.T) @ self.s_inv
+
+    @cached_property
+    def jmat(self):
+        """J = S [[0, -g^{-1}], [g, 0]] S^{-1}."""
+        return self.s @ geometry._offdiag(-self.g_inv, self.g_real) @ self.s_inv
+
+    @cached_property
+    def kmat(self):
+        return self.imat @ self.jmat
+
+    @cached_property
+    def gtm(self):
+        """gTM = S^{-T} blockdiag(g, g^{-1}) S^{-1}."""
+        return self.s_inv.T @ geometry._blockdiag(self.g_real, self.g_inv) @ self.s_inv
 
 
-def _frame_blocks(prep: Prepotential, pt: CotangentPoint):
-    """(p, s, s_inv): the checked record of the base point (geometry._point),
-    the frame matrix and its inverse, from the record's Gamma_flat."""
+def _frame_blocks(prep: Prepotential, pt: CotangentPoint) -> HyperkahlerFrame:
+    """The frame record of pt: S and S^{-1} from the base record's
+    Gamma_flat."""
     p = geometry._point(prep, pt.z)
     n2 = 2 * prep.n
     w = np.einsum("cab,c->ab", p.gamma_flat, pt.alpha)
@@ -99,39 +126,13 @@ def _frame_blocks(prep: Prepotential, pt: CotangentPoint):
     s[n2:, :n2] = w
     s_inv = np.eye(2 * n2)
     s_inv[n2:, :n2] = -w
-    return p, s, s_inv
+    return HyperkahlerFrame(pt, p, s, s_inv)
 
 
 def tangent_split_at(prep: Prepotential, pt: CotangentPoint) -> HyperkahlerFrame:
-    """Split T(T*M) into the flat-horizontal and vertical subspaces and
-    assemble the quaternionic triple and metric in coordinates."""
-    return _tangent_split(pt, *_frame_blocks(prep, pt))
-
-
-def _tangent_split(pt: CotangentPoint, p, s, s_inv) -> HyperkahlerFrame:
-    g = p.metric.g_real
-    ginv = np.linalg.inv(g)
-    ibase = geometry.complex_structure(len(g) // 2)
-    # I, J and gTM in the (horizontal, vertical) frame, carried to coordinates
-    imat = s @ geometry._blockdiag(ibase, ibase.T) @ s_inv
-    jmat = _coordinate_j(s, s_inv, g, ginv)
-    return HyperkahlerFrame(
-        point=pt,
-        s=s,
-        s_inv=s_inv,
-        imat=imat,
-        jmat=jmat,
-        kmat=imat @ jmat,
-        gtm=s_inv.T @ geometry._blockdiag(g, ginv) @ s_inv,
-        g_real=g,
-        g_inv=ginv,
-    )
-
-
-def _coordinate_j(s, s_inv, g, ginv):
-    """J = S [[0, -g^{-1}], [g, 0]] S^{-1}: the frame J carried to
-    coordinates."""
-    return s @ geometry._offdiag(-ginv, g) @ s_inv
+    """Split T(T*M) into the flat-horizontal and vertical subspaces: the
+    frame record of the point."""
+    return _frame_blocks(prep, pt)
 
 
 def quaternion_residual(fr: HyperkahlerFrame) -> float:
@@ -183,8 +184,8 @@ def structure_derivative_stacks(prep: Prepotential, pt: CotangentPoint, h: float
     dS S^-1 = S dS = dS and the conjugations leave commutators with dS.
     nijenhuis_at and kahler_form_closedness take the result as _stacks, so
     one build serves both; h is unused, kept for the callers that pass it."""
-    p, s, s_inv = _frame_blocks(prep, pt)
-    fr = _tangent_split(pt, p, s, s_inv)
+    fr = _frame_blocks(prep, pt)
+    p = fr.base
     n2 = 2 * prep.n
     n4 = 2 * n2
     ds = np.zeros((n4, n4, n4))
@@ -335,26 +336,22 @@ def correspondence_check(prep: Prepotential, pt: CotangentPoint) -> float:
     fails) when the metric or the identification is numerically singular,
     as for an overflowed frame.
 
-    Of the frame only S^{-1}, g^{-1} and J are read, so I, K and gTM are
-    not built; J comes from _coordinate_j, as in tangent_split_at, so it
-    has the same bits."""
-    p, s, s_inv = _frame_blocks(prep, pt)
-    g = p.metric.g_real
-    ginv = np.linalg.inv(g)
-    jmat = _coordinate_j(s, s_inv, g, ginv)
+    Of the frame record only S^{-1}, g^{-1} and J are read, so I, K and
+    gTM are not built."""
+    fr = _frame_blocks(prep, pt)
     n = prep.n
     j_hodge = _tangent_hodge_j(n)
 
     # identification chi: T(T*M) -> complexified tangent space
     p10, p01 = geometry.type_projectors(n)
     try:
-        chi_frame = np.hstack([p10, p01 @ ginv])
-        chi = chi_frame @ s_inv
+        chi_frame = np.hstack([p10, p01 @ fr.g_inv])
+        chi = chi_frame @ fr.s_inv
         chi_real = np.vstack([chi.real, chi.imag])
         j_via_hodge = np.linalg.inv(chi_real) @ j_hodge @ chi_real
     except np.linalg.LinAlgError:
         return float("nan")
-    return float(np.max(np.abs(jmat - j_via_hodge)))
+    return float(np.max(np.abs(fr.jmat - j_via_hodge)))
 
 
 def sample_cotangent_points(prep: Prepotential, count: int, seed: int, h: float = 1e-5):

@@ -40,11 +40,10 @@ class InconsistentProfileError(RuntimeError):
 @dataclass(frozen=True)
 class ReesBundle:
     """Bundle on P^1 glued from the Rees modules of two complete
-    filtrations on the same space; twist shifts at infinity."""
+    filtrations on the same space; h0's m twists it at infinity."""
 
     f: Filtration
     fbar: Filtration
-    twist: int = 0
 
     def __post_init__(self):
         if self.f.ambient_dim != self.fbar.ambient_dim:
@@ -128,33 +127,32 @@ def _meet_dim(a: Subspace, b: Subspace) -> int:
 
 def h0(bundle: ReesBundle, m: int = 0) -> int:
     """Global sections of the twist by m at infinity:
-    h^0 = sum_d dim(F^{-d} /\\ Fbar^{d-m-twist}).  For 0 <= d <= m + twist
-    both steps are V, so those terms are the rank each; only the at most
+    h^0 = sum_d dim(F^{-d} /\\ Fbar^{d-m}).  For 0 <= d <= m both steps
+    are V, so those terms are the rank each; only the at most
     len F + len Fbar others are intersected."""
-    mm = m + bundle.twist
     f, fbar = bundle.f, bundle.fbar
-    hi = mm + fbar.length
-    others = chain(range(1 - f.length, min(0, hi)), range(max(0, mm + 1), hi))
-    return bundle.rank * max(mm + 1, 0) + sum(
-        _meet_dim(f.step(-d), fbar.step(d - mm)) for d in others
+    hi = m + fbar.length
+    others = chain(range(1 - f.length, min(0, hi)), range(max(0, m + 1), hi))
+    return bundle.rank * max(m + 1, 0) + sum(
+        _meet_dim(f.step(-d), fbar.step(d - m)) for d in others
     )
 
 
 def bundle_degree(bundle: ReesBundle) -> int:
-    """deg = sum_p p dim Gr_F^p + sum_q q dim Gr_Fbar^q (+ rank * twist)."""
+    """deg = sum_p p dim Gr_F^p + sum_q q dim Gr_Fbar^q."""
     d = 0
     for p, g in enumerate(bundle.f.graded_dims()):
         d += p * g
     for q, g in enumerate(bundle.fbar.graded_dims()):
         d += q * g
-    return d + bundle.rank * bundle.twist
+    return d
 
 
 def splitting_type(bundle: ReesBundle) -> SplittingType:
     """Read the degrees off the table d(p, q) = dim(F^p /\\ Fbar^q).
 
     Two filtrations always have a common adapted basis, and a basis vector
-    with exact levels (p, q) spans a summand O(p + q + twist).  So the
+    with exact levels (p, q) spans a summand O(p + q).  So the
     multiplicity of that degree is the second difference
     d(p, q) - d(p+1, q) - d(p, q+1) + d(p+1, q+1).  h0 is the reference:
     h0(m) = sum_i max(a_i + m + 1, 0) over the degrees a_i."""
@@ -167,7 +165,7 @@ def splitting_type(bundle: ReesBundle) -> SplittingType:
             mult = d[p][q] - d[p + 1][q] - d[p][q + 1] + d[p + 1][q + 1]
             if mult < 0:
                 raise InconsistentProfileError(f"negative multiplicity at {(p, q)}")
-            degrees += [p + q + bundle.twist] * mult
+            degrees += [p + q] * mult
     if len(degrees) != bundle.rank:
         raise InconsistentProfileError("degree multiset does not match the rank")
     st = SplittingType(tuple(sorted(degrees, reverse=True)))

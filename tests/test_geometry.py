@@ -578,8 +578,9 @@ class TestPointData:
         lambda prep, z: vhs_from_special_kahler(prep, [z]),
         lambda prep, z: hk.tangent_split_at(
             prep, hk.CotangentPoint(z=np.array(z), alpha=np.zeros(2))),
+        geo.levi_civita_at, geo.levi_civita_jet, geo.lc_holomorphic,
     ], ids=("flat_omega_residual", "point_data", "vhs_from_special_kahler",
-            "tangent_split_at"))
+            "tangent_split_at", "levi_civita_at", "levi_civita_jet", "lc_holomorphic"))
     def test_domain_checked_before_metric(self, call):
         """Cubic at -1j is outside the domain and metric-degenerate; every
         call checks the domain first."""
@@ -587,6 +588,17 @@ class TestPointData:
 
         with pytest.raises(DomainError):
             call(Cubic(), [-1j])
+
+    @pytest.mark.parametrize("call", [geo.levi_civita_at, geo.levi_civita_jet,
+                                      geo.lc_holomorphic], ids=lambda f: f.__name__)
+    def test_levi_civita_takes_a_record(self, call):
+        """Each Levi-Civita function reads the checked record of the point,
+        so handed one in place of z it gives the raw-z value, bit for bit."""
+        for prep in ENTRIES:
+            for z in entry_points(prep, 4, seed=29):
+                raw, got = (call(prep, w) for w in (z, geo._point(prep, z)))
+                pairs = zip(raw, got) if isinstance(raw, tuple) else [(raw, got)]
+                assert all(a.tobytes() == b.tobytes() for a, b in pairs)
 
     def test_vhs_holomorphy_zero_for_all_entries(self):
         for prep in ENTRIES:
@@ -606,6 +618,13 @@ ONE_READ_CALLS = {
     "structure_derivative_stacks": lambda prep, z, pt: hk.structure_derivative_stacks(prep, pt),
     "correspondence_check": lambda prep, z, pt: hk.correspondence_check(prep, pt),
     "vhs_from_special_kahler": lambda prep, z, pt: vhs_from_special_kahler(prep, [z]),
+    "levi_civita_at": lambda prep, z, pt: geo.levi_civita_at(prep, z),
+    "levi_civita_jet": lambda prep, z, pt: geo.levi_civita_jet(prep, z),
+    "lc_holomorphic": lambda prep, z, pt: geo.lc_holomorphic(prep, z),
+    "flat_connection_jet": lambda prep, z, pt: geo.flat_connection_jet(prep, z),
+    "nijenhuis_at": lambda prep, z, pt: hk.nijenhuis_at(prep, pt, "J"),
+    "kahler_form_closedness": lambda prep, z, pt: hk.kahler_form_closedness(prep, pt),
+    "twistor_normal_bundle_at": lambda prep, z, pt: hk.twistor_normal_bundle_at(prep, pt),
 }
 
 

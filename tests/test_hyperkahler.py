@@ -1,8 +1,8 @@
 """Hyperkahler triple on the cotangent bundle, twistor structures,
 integrability residuals and the correspondence with the Hodge route."""
 
-import dataclasses
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -103,14 +103,15 @@ class TestResiduals:
     def test_quaternion_residual_sees_commuting_pair(self):
         # J = I: I^2 = J^2 = -1 still hold, but IJ + JI = -2 and K = -1
         fr = self.model_frame()
-        bad = dataclasses.replace(fr, jmat=fr.imat, kmat=fr.imat @ fr.imat)
+        bad = SimpleNamespace(imat=fr.imat, jmat=fr.imat, kmat=fr.imat @ fr.imat)
         assert hk.quaternion_residual(bad) == 2.0
 
     def test_orthogonality_residual_sees_non_invariant_metric(self):
         # I swaps the first two coordinates up to sign, so I^T G I moves
         # the 2 to the second diagonal entry
         fr = self.model_frame()
-        bad = dataclasses.replace(fr, gtm=np.diag([2.0, 1.0, 1.0, 1.0]))
+        bad = SimpleNamespace(imat=fr.imat, jmat=fr.jmat, kmat=fr.kmat,
+                              gtm=np.diag([2.0, 1.0, 1.0, 1.0]))
         assert hk.orthogonality_residual(bad) == 1.0
 
 
@@ -329,7 +330,7 @@ class TestNormalBundle:
         for pt in hk.sample_cotangent_points(prep, 16, seed=8):
             frame_pair = hk._exact_quaternionic_at(prep, pt)
             assert hodge.hodge_from_quaternionic(frame_pair).hodge is model
-            s = rationalize_matrix(hk._frame_blocks(prep, pt)[1].astype(complex))[0]
+            s = rationalize_matrix(hk._frame_blocks(prep, pt).s.astype(complex))[0]
             s_inv = s.inverse()
             coord_pair = QuaternionicStructure(
                 s @ frame_pair.imat @ s_inv, s @ frame_pair.jmat @ s_inv
@@ -406,8 +407,8 @@ class TestSharedConstants:
 
 
 def correspondence_from_full_frame(prep, pt):
-    """correspondence_check as it read J, S^-1 and g^-1 off tangent_split_at,
-    kept as the oracle of the J-only build."""
+    """The correspondence formula written out on the frame record that
+    tangent_split_at returns."""
     fr = hk.tangent_split_at(prep, pt)
     p10, p01 = geometry.type_projectors(prep.n)
     chi = np.hstack([p10, p01 @ fr.g_inv]) @ fr.s_inv
