@@ -22,9 +22,9 @@ matmul has three paths, chosen from the operands alone.  A factor that is
 a signed permutation (every row has den 1 and a single nonzero entry, a
 real +1 or -1, and no two rows share a column) moves rows without any
 arithmetic: on the left it selects B's rows with their signs, on the
-right it scatters A's columns.  The exact twistor pair meets it in three
-of the four relation products of each point (the frame I is one), and
-every round trip through the model structure of a size multiplies by it.
+right it scatters A's columns.  Its traffic is the model pairs of the
+exact round trips: every round trip through the model structure of a
+size multiplies by it.  (The twistor point forms no exact products.)
 Otherwise a product with at least _PACK_COLS columns whose two factors are
 both real packs each row of B into one int of fixed-width bit slots
 (Kronecker substitution), so an output row costs one big-int multiply-add

@@ -32,7 +32,7 @@ reads tau and C at most once.  Each public (prep, z) function also takes
 a record in place of z, so a sweep that hands one record to every suite
 checks and reads the point once.  metric_at alone reads tau raw, without
 the domain and flat-chart checks: it is the metric of a bare point, as
-the twistor pair and the raw-z potential check need it.
+the twistor point and the raw-z potential check need it.
 
 complex_structure, type_projectors and holomorphic_frame depend on n
 only: each is built once per n and shared as a read-only array.
@@ -289,7 +289,7 @@ def metric_at(prep: Prepotential, z) -> MetricData:
 
     The one raw reader of tau: it takes a bare z, not a record, and runs
     only the check it owns, positivity of Im tau (one read of tau, one
-    Cholesky), wherever tau is defined.  The twistor pair and the raw-z
+    Cholesky), wherever tau is defined.  The twistor point and the raw-z
     potential check need g alone, so they skip the record's domain and
     flat-chart checks; the samplers keep their points inside the domain."""
     return _metric(_tau(prep, z), z)

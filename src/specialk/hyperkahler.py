@@ -23,10 +23,11 @@ Gamma_flat and its u-derivative (from the catalog's fourth derivatives),
 the frame blocks with g and dg, so no finite-difference stencil is taken
 and the residuals sit at rounding level.
 
-The twistor normal-bundle check does only exact work that depends on the
-point: it rationalizes g, forms the exact g^{-1} and builds the exact pair,
-whose constructor forms all four relation products.  The Rees splitting
-it reports depends on n only and is read from a table built once per n.
+The twistor normal-bundle check does only the exact work that depends on
+the point: it rationalizes G = Im tau and decides its leading minors.
+The exact quaternionic pair of the point is accepted for every invertible
+G, so the Rees splitting it reports depends on n only and is read from a
+table built once per n.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import geometry, hodge, rees
-from .exact import ExactMatrix, rationalize_matrix, std_complex_structure
+from .exact import leading_minors_positive, rationalize_matrix
 from .prepotentials import Prepotential
 from .utils import XorShift
 
@@ -257,30 +258,6 @@ def kahler_form_closedness(prep: Prepotential, pt: CotangentPoint, h: float = 1e
 
 
 @lru_cache(maxsize=None)
-def _frame_i(n: int) -> ExactMatrix:
-    """The exact frame I = blockdiag(I_base, I_base^T) with
-    I_base = -std_complex_structure(n).  It depends on n only, so it is
-    built on first use and shared; ExactMatrix is immutable."""
-    ibase = -std_complex_structure(n)
-    zero = ExactMatrix.zeros(2 * n, 2 * n)
-    return ExactMatrix.blocks([[ibase, zero], [zero, ibase.T]])
-
-
-def _exact_quaternionic_at(prep: Prepotential, pt: CotangentPoint):
-    """Rationalize g and build the exact pair in the (horizontal, vertical)
-    frame: I = _frame_i(n), J = [[0, -g^{-1}], [g, 0]].
-
-    The coordinate pair is the frame pair conjugated by the frame matrix S.
-    An exact conjugation is an isomorphism of quaternionic structures, so
-    it cannot change the Rees splitting type; g is the only float datum."""
-    g_exact, _ = rationalize_matrix(geometry.metric_at(prep, pt.z).g_real)
-    n2 = 2 * prep.n
-    zero = ExactMatrix.zeros(n2, n2)
-    j_frame = ExactMatrix.blocks([[zero, -g_exact.inverse()], [g_exact, zero]])
-    return hodge.QuaternionicStructure(_frame_i(prep.n), j_frame)
-
-
-@lru_cache(maxsize=None)
 def _chart_splitting(k: int) -> rees.SplittingType:
     """Splitting type of the Rees bundle of the model weight-1 structure
     hodge._chart_hodge_structure(k) and its conjugate.  It depends on k
@@ -296,25 +273,32 @@ def twistor_normal_bundle_at(prep: Prepotential, pt: CotangentPoint) -> rees.Spl
     structure associated to the quaternionic pair on T(T*M); the normal
     bundle of the twistor line through the point.  Expected (1, ..., 1).
 
-    Per point the work is exact: rationalize g, form g^{-1} and build the
-    pair, whose constructor checks I^2 = J^2 = -1 and IJ = -JI with all
-    four products and raises on a failure.  The structure that
-    hodge_from_quaternionic returns for an accepted pair on Q^{4k} is
-    always the model _chart_hodge_structure(k); only its chart depends on
-    the pair, and the splitting type does not read it.  So the splitting
-    is read from _chart_splitting(k), computed once per k.
+    Per point the work is exact: rationalize the n x n G = Im tau once
+    and require its leading minors to be positive, else raise
+    MetricDegenerateError.  Nothing else about the pair depends on the
+    point.  In the (horizontal, vertical) frame it is
+    I = blockdiag(I_base, I_base^T) and J = [[0, -g^{-1}], [g, 0]] with
+    g = blockdiag(G, G).  I is fixed and J^2 = -1 for every invertible g.
+    The n x n blocks of I_base are 0 and +-Id, so g commutes with I_base
+    and I_base^T, and IJ = -JI: every invertible G, definite or not, gives
+    an accepted pair.  The coordinate pair is this one conjugated by the
+    frame matrix S, an isomorphism of quaternionic structures.
 
-    The chart search cannot fail on an accepted pair.  I, J and K = IJ
-    make V a module over the rational quaternions H = (-1, -1)_Q, and H
-    is a division algebra: its norm x^2 + y^2 + z^2 + w^2 has no nonzero
-    rational zero.  Let W be the span of the blocks chosen so far, which
-    is H-invariant, and e_t a basis vector outside it.  If h e_t lies in W
-    for some h != 0, then e_t = h^{-1} (h e_t) lies in W; so H e_t meets W
-    in 0 alone, h -> h e_t is injective, and each new block adds exactly
-    4 to the rank.  The search's one failure, "quaternionic relations
-    fail to generate free blocks", is therefore unreachable here."""
-    q = _exact_quaternionic_at(prep, pt)
-    return _chart_splitting(q.real_dim // 4)
+    For an accepted pair on Q^{4n}, hodge_from_quaternionic returns the
+    model _chart_hodge_structure(n); only its chart depends on the pair,
+    and the splitting type does not read it.  So the splitting is read
+    from _chart_splitting(n), computed once per n.  The chart search
+    cannot fail on an accepted pair.  I, J and K = IJ make V a module over
+    the rational quaternions H = (-1, -1)_Q, and H is a division algebra:
+    its norm x^2 + y^2 + z^2 + w^2 has no nonzero rational zero.  Let W be
+    the span of the blocks chosen so far, which is H-invariant, and e_t a
+    basis vector outside it.  If h e_t lies in W for some h != 0, then
+    e_t = h^{-1} (h e_t) lies in W; so H e_t meets W in 0 alone, and each
+    new block adds exactly 4 to the rank."""
+    g, _ = rationalize_matrix(geometry.metric_at(prep, pt.z).imtau)
+    if not leading_minors_positive(g):
+        raise geometry.MetricDegenerateError(f"metric degenerate at point {pt.z}")
+    return _chart_splitting(prep.n)
 
 
 @lru_cache(maxsize=None)

@@ -1,14 +1,17 @@
 """Hyperkahler triple on the cotangent bundle, twistor structures,
 integrability residuals and the correspondence with the Hodge route."""
 
+import json
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from randgen import properties, quaternionic_pair, standard_quaternionic
+from test_mutations import negate_g, zero_last_diagonal
 
 from specialk import fd, geometry, hodge, hyperkahler as hk, rees
 from specialk.cli import main as cli_main
@@ -22,6 +25,31 @@ ENTRIES = [Quadratic(), Cubic(), SWLog(), Coupled()]
 
 def pt_for(prep, seed=1):
     return hk.sample_cotangent_points(prep, 1, seed)[0]
+
+
+def exact_frame_pair(g):
+    """The exact pair of a cotangent point in the (horizontal, vertical)
+    frame, for the n x n ExactMatrix G = Im tau:
+    I = blockdiag(I_base, I_base^T) with I_base = -std_complex_structure(n),
+    J = [[0, -g^{-1}], [g, 0]] with g = blockdiag(G, G)."""
+    n = g.rows
+    zero_n, zero = ExactMatrix.zeros(n, n), ExactMatrix.zeros(2 * n, 2 * n)
+    ibase = -std_complex_structure(n)
+    g2 = ExactMatrix.blocks([[g, zero_n], [zero_n, g]])
+    return QuaternionicStructure(ExactMatrix.blocks([[ibase, zero], [zero, ibase.T]]),
+                                 ExactMatrix.blocks([[zero, -g2.inverse()], [g2, zero]]))
+
+
+@st.composite
+def rational_g(draw):
+    """An n x n rational G, n = 1..3, with entries in [-4, 4] and
+    denominators at most 5, either symmetric (as Im tau is) or not."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.fractions(-4, 4, max_denominator=5), min_size=n, max_size=n)
+    g = draw(st.lists(row, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        g = [[g[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return g
 
 
 def rees_splitting(qs):
@@ -328,7 +356,8 @@ class TestNormalBundle:
         so there the two pairs coincide."""
         model = hodge._chart_hodge_structure(prep.n)
         for pt in hk.sample_cotangent_points(prep, 16, seed=8):
-            frame_pair = hk._exact_quaternionic_at(prep, pt)
+            g = rationalize_matrix(geometry.metric_at(prep, pt.z).imtau)[0]
+            frame_pair = exact_frame_pair(g)
             assert hodge.hodge_from_quaternionic(frame_pair).hodge is model
             s = rationalize_matrix(hk._frame_blocks(prep, pt).s.astype(complex))[0]
             s_inv = s.inverse()
@@ -341,6 +370,26 @@ class TestNormalBundle:
             assert hk.twistor_normal_bundle_at(prep, pt) == frame
 
     @properties
+    @given(rational_g())
+    @example([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]])     # definite
+    @example([[Fraction(-2), Fraction(1)], [Fraction(1), Fraction(-2)]])   # negative: -G
+    @example([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])     # indefinite
+    @example([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])     # singular
+    def test_every_invertible_g_gives_an_accepted_pair(self, g):
+        """What twistor_normal_bundle_at rests on instead of building the
+        pair: for every invertible rational G, definite or not, the frame
+        pair constructs and charts to the model of the size, so the pair
+        cannot tell a positive G from any other.  A singular G is refused
+        by the exact inverse."""
+        g = ExactMatrix(g)
+        if g.rank() < g.rows:
+            with pytest.raises(ZeroDivisionError):
+                exact_frame_pair(g)
+            return
+        qs = exact_frame_pair(g)
+        assert hodge.hodge_from_quaternionic(qs).hodge is hodge._chart_hodge_structure(g.rows)
+
+    @properties
     @given(st.integers(0, 2**32 - 1), st.sampled_from([4, 8, 12]))
     def test_accepted_pair_always_charts_to_the_model(self, seed, n4):
         """What twistor_normal_bundle_at rests on: for every pair the
@@ -349,54 +398,62 @@ class TestNormalBundle:
         qs = quaternionic_pair(XorShift(seed), n4)
         assert hodge.hodge_from_quaternionic(qs).hodge is hodge._chart_hodge_structure(n4 // 4)
 
-    def test_sweep_checks_the_relations_at_every_point(self, monkeypatch, capsys):
-        """The splitting is shared per n, but every point still builds its
-        exact pair and so runs the constructor's relation products."""
-        built = []
+    def test_sweep_checks_positivity_at_every_point(self, monkeypatch, capsys):
+        """The splitting is shared per n, but every point decides the
+        leading minors of its own rationalized Im tau, and builds no
+        exact pair."""
+        decided, built = [], []
+        minors = hk.leading_minors_positive
         init = QuaternionicStructure.__init__
 
-        def counted(self, imat, jmat):
+        def counted_minors(g):
+            decided.append(g.rows)
+            return minors(g)
+
+        def counted_init(self, imat, jmat):
             built.append(imat.rows)
             init(self, imat, jmat)
 
-        monkeypatch.setattr(QuaternionicStructure, "__init__", counted)
-        argv = ["twistor", "normal-bundle", "--entry", "coupled", "--points", "5"]
-        assert cli_main(argv) == 0
+        monkeypatch.setattr(hk, "leading_minors_positive", counted_minors)
+        monkeypatch.setattr(QuaternionicStructure, "__init__", counted_init)
+        assert cli_main(["twistor", "normal-bundle", "--entry", "coupled", "--points", "5"]) == 0
         capsys.readouterr()
-        assert built == [8] * 5
+        assert decided == [2] * 5
+        assert built == []
 
-    def test_broken_metric_fails_the_relation_check(self, monkeypatch):
-        """A g that does not commute with I_base (one entry of its lower
-        block moved by 1/7) gives a pair with IJ != -JI, and the point
-        raises instead of reading the shared splitting."""
-        rationalize = hk.rationalize_matrix
-
-        def moved(array):
-            g, err = rationalize(array)
-            rows = [list(row) for row in g.entries]
-            n = len(rows) // 2
-            rows[n][n] = rows[n][n] + Fraction(1, 7)
-            return ExactMatrix(rows), err
-
-        prep = Coupled()
+    @pytest.mark.parametrize("prep", [Cubic(), Coupled()], ids=lambda p: p.name)
+    @pytest.mark.parametrize("mutant", [negate_g, zero_last_diagonal],
+                             ids=lambda f: f.__name__)
+    def test_nonpositive_metric_fails_the_point(self, prep, mutant, monkeypatch):
+        """A bridge that returns -G, or G with its last diagonal entry 0,
+        hands the point a G that is not positive definite, and the point
+        raises instead of reading the shared splitting.  The frame pair of
+        -G is accepted, so the pair alone would pass it."""
         pt = pt_for(prep, seed=19)
-        assert hk.twistor_normal_bundle_at(prep, pt).degrees == (1,) * 4
-        monkeypatch.setattr(hk, "rationalize_matrix", moved)
-        with pytest.raises(ValueError, match="IJ = -JI fails"):
+        assert hk.twistor_normal_bundle_at(prep, pt).degrees == (1,) * (2 * prep.n)
+        mutant(monkeypatch)
+        with pytest.raises(geometry.MetricDegenerateError, match="metric degenerate at point"):
             hk.twistor_normal_bundle_at(prep, pt)
+
+    def test_point_holds_at_every_lambda_scale(self, capsys):
+        """swlog(lambda) for lambda = 2^k e^(i theta), k = -1023..1013 in
+        steps of 37: Im tau is rationalized and decided at every scale the
+        float range holds, with exit 0, the model splitting and nothing
+        on stderr."""
+        for k in range(-1023, 1014, 37):
+            for theta in (0.0, 0.5, 1.5, 3.0, -2.0):
+                lam = complex(math.ldexp(math.cos(theta), k), math.ldexp(math.sin(theta), k))
+                entry = f"swlog(lambda={lam.real!r}{lam.imag:+}i)"
+                argv = ["twistor", "normal-bundle", "--entry", entry, "--points", "1"]
+                assert cli_main(argv) == 0, entry
+                out, err = capsys.readouterr()
+                assert err == ""
+                assert json.loads(out)["samples"][0]["splitting"] == [1, 1], entry
 
 
 class TestSharedConstants:
-    """The n-only exact constants of the twistor check are built once per n
-    and equal the formulas they replace."""
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_frame_i_is_built_once(self, n):
-        got = hk._frame_i(n)
-        assert hk._frame_i(n) is got
-        ibase = -std_complex_structure(n)
-        zero = ExactMatrix.zeros(2 * n, 2 * n)
-        assert got == ExactMatrix.blocks([[ibase, zero], [zero, ibase.T]])
+    """The n-only exact constant of the twistor check is built once per n
+    and equals the route it replaces."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_chart_splitting_is_the_full_route(self, k):
