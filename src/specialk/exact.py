@@ -849,25 +849,20 @@ def rationalize_matrix(array):
     once: with den the lcm of the reduced denominators, no prime divides
     den and every numerator.
 
-    An entry that is not a complex (a float, numpy's float64 included)
-    goes through _limit once and gets the imaginary part 0/1; its error is
-    |err|, the bits of hypot(err, 0.0).  So a real array and the same array
-    cast to complex give the same rows and error."""
+    Every entry is read as complex(v): a real entry has imaginary part 0,
+    which _limit gives as 0/1 with error 0, and hypot(err, 0.0) = |err|.  So
+    a real array and the same array cast to complex give the same rows and
+    error."""
     worst = 0.0
     rows = []
     for row in array:
         parts = []
         for v in row:
-            if isinstance(v, complex):
-                v = complex(v)
-                p, q, err_re = _limit(v.real)
-                r, s, err_im = _limit(v.imag)
-                parts += ((p, q), (r, s))
-                worst = max(worst, hypot(err_re, err_im))
-            else:
-                p, q, err = _limit(float(v))
-                parts += ((p, q), (0, 1))
-                worst = max(worst, abs(err))
+            v = complex(v)
+            p, q, err_re = _limit(v.real)
+            r, s, err_im = _limit(v.imag)
+            parts += ((p, q), (r, s))
+            worst = max(worst, hypot(err_re, err_im))
         den = lcm(*(q for _, q in parts))
         rows.append((den, *(p * (den // q) for p, q in parts)))
     if not rows:

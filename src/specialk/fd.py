@@ -1,4 +1,6 @@
-"""Finite-difference differentiation used by all residual checks."""
+"""Finite-difference differentiation: the tests' reference for the
+analytic jets, and the stencil of geometry.curvature_of_connection.  No
+check of a sweep takes a finite difference."""
 
 from __future__ import annotations
 

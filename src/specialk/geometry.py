@@ -26,13 +26,15 @@ circles around the point, so no check of a sweep takes a finite
 difference; curvature_of_connection keeps central differences as the
 tests' reference.
 
-Every suite reads one checked record of the point (_point), which checks
-the domain, tau, the metric and the flat chart once, in that order, and
-reads tau and C at most once.  Each public (prep, z) function also takes
-a record in place of z, so a sweep that hands one record to every suite
-checks and reads the point once.  metric_at alone reads tau raw, without
-the domain and flat-chart checks: it is the metric of a bare point, as
-the twistor point and the raw-z potential check need it.
+Every suite reads one checked record of the point (_point).  It checks
+the domain, tau and the metric once, in that order, and builds each other
+field (g and omega, C, d^4 F, the flat chart) on first read, so tau, C
+and d^4 F are read at most once and the flat chart's check runs only for
+a suite that reads the chart, before anything derived from it.  Each
+public (prep, z) function also takes a record in place of z, so a sweep
+that hands one record to every suite checks and reads the point once.
+metric_at returns the record; the twistor point and the raw-z potential
+check read its Im tau and build no chart.
 
 complex_structure, type_projectors and holomorphic_frame depend on n
 only: each is built once per n and shared as a read-only array.
@@ -54,7 +56,6 @@ __all__ = [
     "FlatChartDegenerateError",
     "StencilError",
     "SamplingError",
-    "MetricData",
     "FlatChart",
     "SpecialKahlerPoint",
     "z_to_u",
@@ -155,13 +156,6 @@ def darboux_matrix(n: int):
 
 
 @dataclass(frozen=True)
-class MetricData:
-    imtau: np.ndarray      # n x n real, = hermitian metric components
-    g_real: np.ndarray     # 2n x 2n block-diagonal Riemannian metric
-    omega: np.ndarray      # 2n x 2n matrix of the Kahler form
-
-
-@dataclass(frozen=True)
 class FlatChart:
     x: np.ndarray
     y: np.ndarray
@@ -180,7 +174,7 @@ class SpecialKahlerPoint:
     z: np.ndarray
     tau: np.ndarray
     third: np.ndarray
-    metric: MetricData
+    metric: _Point         # the record: imtau, g_real and omega
     flat: FlatChart
     imat: np.ndarray
     gamma_flat: np.ndarray
@@ -221,48 +215,61 @@ def _real_chart(t, axes):
     return t
 
 
-def _tau(prep: Prepotential, z):
-    """tau = d^2 F at z; the one place that holds the provider to an
-    exactly symmetric tau."""
-    tau = np.asarray(prep.hess(z), dtype=complex)
-    if not np.array_equal(tau, tau.T):
-        raise ValueError(f"{prep.name}: provider returned non-symmetric tau")
-    return tau
-
-
-def _metric(tau, z) -> MetricData:
-    """g and omega from tau, after the check that Im tau is positive."""
-    g = tau.imag
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise MetricDegenerateError(f"metric degenerate at point {z}") from None
-    return MetricData(imtau=g, g_real=_blockdiag(g), omega=_offdiag(-g, g))
-
-
 class _Point:
     """One sample point, read and checked once: its shape, the domain, an
-    exactly symmetric tau, a positive metric Im tau, then Im tau far
-    enough from singular for (x, Re w) to be a chart.  It keeps z, tau,
-    the metric and the flat-chart Jacobians jac = d(x, Re w)/du and
-    dpq = d(p, Im w)/du; C, jac^{-1}, the chart's second derivatives and
-    Gamma_flat are read or built on first use."""
+    exactly symmetric tau and a positive metric G = Im tau (one read of tau,
+    one Cholesky).  It keeps z, tau and imtau = G; every other field is
+    built on first read: the metric g_real = blockdiag(G, G) and the
+    Kahler form omega, C and d^4 F, and the flat chart.  The chart first
+    checks that G is far enough from singular for (x, Re w) to be a chart,
+    then builds the Jacobians jac = d(x, Re w)/du and dpq = d(p, Im w)/du;
+    jac^{-1}, the chart's second derivatives and Gamma_flat read jac, so
+    the chart check runs before anything derived from the chart."""
 
     def __init__(self, prep: Prepotential, z):
         self.prep = prep
         self.z = z = prep.as_point(z)
         prep.require_domain(z)
-        self.tau = tau = _tau(prep, z)
-        self.metric = _metric(tau, z)
-        sv = np.linalg.svd(tau.imag, compute_uv=False)
-        if sv[-1] <= 1e-9 * sv[0]:
-            raise FlatChartDegenerateError(f"flat chart degenerate at point {z}")
-        dzw = _real_chart(np.concatenate([np.eye(len(tau)), tau]), (1,))   # d(z, w)/du
-        self.jac, self.dpq = dzw.real, dzw.imag
+        self.tau = tau = np.asarray(prep.hess(z), dtype=complex)
+        if not np.array_equal(tau, tau.T):
+            raise ValueError(f"{prep.name}: provider returned non-symmetric tau")
+        self.imtau = tau.imag
+        try:
+            np.linalg.cholesky(self.imtau)
+        except np.linalg.LinAlgError:
+            raise MetricDegenerateError(f"metric degenerate at point {z}") from None
+
+    @cached_property
+    def g_real(self):
+        return _blockdiag(self.imtau)
+
+    @cached_property
+    def omega(self):
+        return _offdiag(-self.imtau, self.imtau)
 
     @cached_property
     def third(self):
         return np.asarray(self.prep.third(self.z), dtype=complex)
+
+    @cached_property
+    def fourth(self):
+        return np.asarray(self.prep.fourth(self.z), dtype=complex)
+
+    @cached_property
+    def _dzw(self):
+        """d(z, w)/du, once the singular values of G show a chart."""
+        sv = np.linalg.svd(self.imtau, compute_uv=False)
+        if sv[-1] <= 1e-9 * sv[0]:
+            raise FlatChartDegenerateError(f"flat chart degenerate at point {self.z}")
+        return _real_chart(np.concatenate([np.eye(len(self.tau)), self.tau]), (1,))
+
+    @cached_property
+    def jac(self):
+        return self._dzw.real
+
+    @cached_property
+    def dpq(self):
+        return self._dzw.imag
 
     @cached_property
     def jinv(self):
@@ -284,15 +291,12 @@ def _point(prep: Prepotential, z) -> _Point:
     return z if isinstance(z, _Point) else _Point(prep, z)
 
 
-def metric_at(prep: Prepotential, z) -> MetricData:
-    """g_{jk} = Im tau_{jk}; raises if the point is metric-degenerate.
-
-    The one raw reader of tau: it takes a bare z, not a record, and runs
-    only the check it owns, positivity of Im tau (one read of tau, one
-    Cholesky), wherever tau is defined.  The twistor point and the raw-z
-    potential check need g alone, so they skip the record's domain and
-    flat-chart checks; the samplers keep their points inside the domain."""
-    return _metric(_tau(prep, z), z)
+def metric_at(prep: Prepotential, z) -> _Point:
+    """The checked record of z, read for its metric: imtau = g_{jk} =
+    Im tau_{jk}, g_real and omega.  Raises if z is outside the domain or
+    the point is metric-degenerate; the flat chart is not built unless
+    read."""
+    return _point(prep, z)
 
 
 def _metric_derivatives(c):
@@ -318,12 +322,12 @@ def _flat_second(c):
     return np.concatenate([np.zeros_like(d2w), d2w], axis=-3)
 
 
-def _flat_dgamma(p: _Point, q):
+def _flat_dgamma(p: _Point):
     """dGamma[d, k, i, j] = d_d Gamma^k_{ij} of the flat connection along the
-    real-chart direction d, from the fourth derivatives q, as
+    real-chart direction d, from the record's fourth derivatives, as
     Jac^{-1} (d second - dJac Gamma), where dJac[d][a, b] = second[a, d, b]
     because Jac = dxi/du."""
-    dsecond = _flat_second(_real_chart(q, (0,)))
+    dsecond = _flat_second(_real_chart(p.fourth, (0,)))
     djac_gamma = np.einsum("adb,bij->daij", p.second, p.gamma_flat)
     return np.einsum("ka,daij->dkij", p.jinv, dsecond - djac_gamma)
 
@@ -332,7 +336,7 @@ def flat_omega_residual(prep: Prepotential, z) -> float:
     """Sup-norm distance of the pushed-forward Kahler form from the
     standard Darboux matrix in the flat chart."""
     p = _point(prep, z)
-    omega_flat = p.jinv.T @ p.metric.omega @ p.jinv
+    omega_flat = p.jinv.T @ p.omega @ p.jinv
     return float(np.max(np.abs(omega_flat - darboux_matrix(prep.n))))
 
 
@@ -356,7 +360,7 @@ def flat_connection_jet(prep: Prepotential, z):
     with dGamma[d, k, i, j] = d_d Gamma^k_{ij} along the real-chart
     direction d."""
     p = _point(prep, z)
-    return p.gamma_flat, _flat_dgamma(p, prep.fourth(p.z))
+    return p.gamma_flat, _flat_dgamma(p)
 
 
 def _lowered_christoffel(dg):
@@ -393,7 +397,7 @@ def _lc_jet(g_real, c, q=None):
 def levi_civita_at(prep: Prepotential, z):
     """Levi-Civita Christoffels of g in the real chart (analytic)."""
     p = _point(prep, z)
-    return _lc_jet(p.metric.g_real, p.third)[0]
+    return _lc_jet(p.g_real, p.third)[0]
 
 
 def levi_civita_jet(prep: Prepotential, z):
@@ -401,14 +405,14 @@ def levi_civita_jet(prep: Prepotential, z):
     dGamma[d, k, i, j] = d_d Gamma^k_{ij} along the real-chart direction d,
     from tau, C and the fourth derivatives of F."""
     p = _point(prep, z)
-    return _lc_jet(p.metric.g_real, p.third, prep.fourth(p.z))
+    return _lc_jet(p.g_real, p.third, p.fourth)
 
 
 def lc_holomorphic(prep: Prepotential, z):
     """Chern-connection Christoffels in holomorphic coordinates:
     Gamma^k_{ij} = g^{kl} d_i g_{jl} = (G^{-1} C / 2i)."""
     p = _point(prep, z)
-    ginv = np.linalg.inv(p.metric.imtau)
+    ginv = np.linalg.inv(p.imtau)
     return np.einsum("kl,ijl->kij", ginv, p.third) / 2j
 
 
@@ -416,7 +420,7 @@ def higgs_at(prep: Prepotential, z):
     """(A, Abar, off-type residual): A is the (1,0)-form part of
     nabla - D mapping T^{1,0} -> T^{0,1}; Abar its conjugate."""
     p = _point(prep, z)
-    return _higgs_split(p.gamma_flat - _lc_jet(p.metric.g_real, p.third)[0])
+    return _higgs_split(p.gamma_flat - _lc_jet(p.g_real, p.third)[0])
 
 
 def _higgs_split(ar):
@@ -519,12 +523,11 @@ def check_equations(prep: Prepotential, z, tol: float = 1e-5, h: float = 1e-5) -
     if h <= 0:
         raise ValueError("step size must be positive")
     p = _point(prep, z)
-    q = prep.fourth(p.z)
     p10, p01 = type_projectors(prep.n)
 
-    gamma_d, d_lc = _lc_jet(p.metric.g_real, p.third, q)
+    gamma_d, d_lc = _lc_jet(p.g_real, p.third, p.fourth)
     ar = p.gamma_flat - gamma_d
-    d_ar = _flat_dgamma(p, q) - d_lc
+    d_ar = _flat_dgamma(p) - d_lc
     # the type projection is constant: A's stack is that of nabla - D, projected
     a, abar, _ = _higgs_split(ar)
     r_d = _curvature(gamma_d, d_lc)
@@ -562,8 +565,8 @@ def check_special_conditions(prep: Prepotential, z, tol: float = 1e-5) -> Equati
     # (nabla_a omega)_{bc} = d_a O_{bc} - G^e_{ab} O_{ec} - G^e_{ac} O_{be}
     nab = (
         domega
-        - np.einsum("eab,ec->abc", gamma, p.metric.omega)
-        - np.einsum("eac,be->abc", gamma, p.metric.omega)
+        - np.einsum("eab,ec->abc", gamma, p.omega)
+        - np.einsum("eac,be->abc", gamma, p.omega)
     )
 
     # (d omega)_{abc} = d_a O_{bc} - d_b O_{ac} + d_c O_{ab}
@@ -587,12 +590,9 @@ def kahler_potential_residual(prep: Prepotential, z) -> float:
     r = POTENTIAL_STEP * prep.scale.  Its error falls like (r / R)^N for a
     singularity at distance R, and its rounding is about eps |w| / r
     (Lyness & Moler 1967; Trefethen & Weideman 2014).  A node outside the
-    domain is a StencilError.  A checked record gives its own z and Im tau."""
-    if isinstance(z, _Point):
-        z, imtau = z.z, z.metric.imtau
-    else:
-        z = prep.as_point(z)
-        imtau = metric_at(prep, z).imtau
+    domain is a StencilError.  The point's record gives z and Im tau."""
+    p = _point(prep, z)
+    z = p.z
     n = prep.n
     r = POTENTIAL_STEP * prep.scale
     w = np.empty((n, len(_CIRCLE), n), dtype=complex)
@@ -606,7 +606,7 @@ def kahler_potential_residual(prep: Prepotential, z) -> float:
                 raise StencilError(f"shrink step or move point: {exc}") from exc
             w[a, k] = prep.grad(node)
     d = (np.conj(_CIRCLE) @ w) / (len(_CIRCLE) * r)
-    return float(np.max(np.abs((d - d.conj().T) / 2j - imtau)))
+    return float(np.max(np.abs((d - d.conj().T) / 2j - p.imtau)))
 
 
 def vhs_holomorphy_residual(prep: Prepotential, z) -> float:
@@ -683,13 +683,13 @@ def point_data(prep: Prepotential, z) -> SpecialKahlerPoint:
     """All pointwise geometry in one structure; the curvature of the
     Levi-Civita connection comes from its analytic jet."""
     p = _point(prep, z)
-    gamma_lc, d_lc = _lc_jet(p.metric.g_real, p.third, prep.fourth(p.z))
+    gamma_lc, d_lc = _lc_jet(p.g_real, p.third, p.fourth)
     a, abar, offtype = _higgs_split(p.gamma_flat - gamma_lc)
     return SpecialKahlerPoint(
         z=p.z,
         tau=p.tau,
         third=p.third,
-        metric=p.metric,
+        metric=p,
         flat=flat_chart_at(prep, p),
         imat=complex_structure(prep.n),
         gamma_flat=p.gamma_flat,

@@ -570,7 +570,7 @@ def vhs_from_special_kahler(prep, points, tol: float = 1e-5):
     for z in points:
         p = geometry._point(prep, z)
         hol = geometry.vhs_holomorphy_residual(prep, p)
-        g_exact, err_g = rationalize_matrix(p.metric.imtau)
+        g_exact, err_g = rationalize_matrix(p.imtau)
         reports.append(
             {
                 "point": [[float(c.real), float(c.imag)] for c in p.z],

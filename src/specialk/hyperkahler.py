@@ -90,7 +90,7 @@ class HyperkahlerFrame:
         self.base = base
         self.s = s
         self.s_inv = s_inv
-        self.g_real = base.metric.g_real
+        self.g_real = base.g_real
 
     @cached_property
     def g_inv(self):
@@ -190,7 +190,7 @@ def structure_derivative_stacks(prep: Prepotential, pt: CotangentPoint, h: float
     n2 = 2 * prep.n
     n4 = 2 * n2
     ds = np.zeros((n4, n4, n4))
-    dgamma = geometry._flat_dgamma(p, prep.fourth(p.z))
+    dgamma = geometry._flat_dgamma(p)
     ds[:n2, n2:, :n2] = np.einsum("dcab,c->dab", dgamma, pt.alpha)
     ds[n2:, n2:, :n2] = p.gamma_flat
     dg = geometry._metric_derivatives(p.third)[0]

@@ -340,7 +340,7 @@ class TestExactMatrix:
         exact_c, err_c = rationalize_matrix(real.astype(complex))
         assert exact._rows == exact_c._rows
         assert repr(err) == repr(err_c)
-        # Python floats take the real path as numpy's float64 does
+        # Python floats read as numpy's float64 does
         assert rationalize_matrix(entries)[0]._rows == exact._rows
 
     # Farey neighbours a < b, b.numerator * a.denominator - a.numerator *

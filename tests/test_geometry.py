@@ -7,13 +7,26 @@ from specialk import geometry as geo
 from specialk import hyperkahler as hk
 from specialk.fd import jacobian, jacobian4
 from specialk.hodge import vhs_from_special_kahler
-from specialk.prepotentials import Coupled, Cubic, Quadratic, SWLog
+from specialk.prepotentials import Coupled, Cubic, DomainError, Quadratic, SWLog
 
 ENTRIES = [Quadratic(), Cubic(), SWLog(), Coupled()]
 
 
 def entry_points(prep, count, seed=1):
     return geo.sample_points(prep, count, seed=seed)
+
+
+def count_metric_reads(monkeypatch):
+    """Counts of Cubic's tau reads and of numpy's Cholesky and SVD calls,
+    kept in the returned dict as they happen."""
+    counts = dict.fromkeys(("hess", "cholesky", "svd"), 0)
+    for owner, name in ((Cubic, "hess"), (np.linalg, "cholesky"), (np.linalg, "svd")):
+        def counted(*args, _name=name, _method=getattr(owner, name), **kwargs):
+            counts[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
 
 
 class TestSharedConstants:
@@ -50,10 +63,19 @@ class TestMetric:
         assert np.allclose(md.g_real, np.eye(2))
 
     def test_cubic_value_and_degeneracy(self):
+        """Im tau = 6 Im z.  At -1j the domain check refuses the point
+        first; an entry whose domain admits it refuses the metric."""
         md = geo.metric_at(Cubic(), [1j])
         assert md.imtau[0, 0] == pytest.approx(6.0)
-        with pytest.raises(geo.MetricDegenerateError):
+        with pytest.raises(DomainError):
             geo.metric_at(Cubic(), [-1j])
+
+        class Unbounded(Cubic):
+            def in_domain(self, z):
+                return True
+
+        with pytest.raises(geo.MetricDegenerateError):
+            geo.metric_at(Unbounded(), [-1j])
 
     def test_matches_kahler_potential_hessian(self):
         for prep in ENTRIES:
@@ -452,10 +474,19 @@ class TestKahlerPotential:
         assert values == [geo.kahler_potential_residual(scaled, 2.0**k * z) for z in points]
         assert max(values) > 0.0
 
+    def test_raw_point_reads_tau_once_and_builds_no_chart(self, monkeypatch):
+        """A raw z gets the point's record for Im tau: one tau read and one
+        Cholesky, and no flat-chart SVD."""
+        prep = Cubic()
+        z = entry_points(prep, 1)[0]
+        counts = count_metric_reads(monkeypatch)
+        geo.kahler_potential_residual(prep, z)
+        assert counts == {"hess": 1, "cholesky": 1, "svd": 0}
+
     @pytest.mark.parametrize("prep", [Cubic(), SWLog(), Coupled()], ids=lambda p: p.name)
     def test_every_node_is_domain_checked(self, prep, monkeypatch):
-        """Four nodes per coordinate, each read once after its domain
-        check."""
+        """The point's record checks the center first; then four nodes per
+        coordinate, each read once after its domain check."""
         z = entry_points(prep, 1)[0]
         calls = []
 
@@ -471,6 +502,7 @@ class TestKahlerPotential:
         for name in ("require_domain", "grad"):
             monkeypatch.setattr(prep, name, recorded(name))
         geo.kahler_potential_residual(prep, z)
+        assert calls.pop(0) == ("require_domain", tuple(z))
         nodes = [zz for name, zz in calls if name == "require_domain"]
         assert len(set(nodes)) == 4 * prep.n
         assert calls == [(name, zz) for zz in nodes for name in ("require_domain", "grad")]
@@ -522,8 +554,6 @@ class TestLagrangianGraph:
         assert rep.loop_integral < 1e-6
 
     def test_rejects_path_outside_domain(self):
-        from specialk.prepotentials import DomainError
-
         with pytest.raises(DomainError):
             geo.lagrangian_graph_check(Cubic(), [0.05j], radius=0.2)
 
@@ -574,18 +604,16 @@ class TestPointData:
         assert np.max(np.abs(data.imat @ data.imat + np.eye(n2))) == 0.0
 
     @pytest.mark.parametrize("call", [
-        geo.flat_omega_residual, geo.point_data,
+        geo.metric_at, geo.flat_omega_residual, geo.point_data,
         lambda prep, z: vhs_from_special_kahler(prep, [z]),
         lambda prep, z: hk.tangent_split_at(
             prep, hk.CotangentPoint(z=np.array(z), alpha=np.zeros(2))),
         geo.levi_civita_at, geo.levi_civita_jet, geo.lc_holomorphic,
-    ], ids=("flat_omega_residual", "point_data", "vhs_from_special_kahler",
+    ], ids=("metric_at", "flat_omega_residual", "point_data", "vhs_from_special_kahler",
             "tangent_split_at", "levi_civita_at", "levi_civita_jet", "lc_holomorphic"))
     def test_domain_checked_before_metric(self, call):
         """Cubic at -1j is outside the domain and metric-degenerate; every
         call checks the domain first."""
-        from specialk.prepotentials import DomainError
-
         with pytest.raises(DomainError):
             call(Cubic(), [-1j])
 

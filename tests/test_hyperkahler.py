@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from randgen import properties, quaternionic_pair, standard_quaternionic
+from test_geometry import count_metric_reads
 from test_mutations import negate_g, zero_last_diagonal
 
 from specialk import fd, geometry, hodge, hyperkahler as hk, rees
@@ -434,6 +435,15 @@ class TestNormalBundle:
         mutant(monkeypatch)
         with pytest.raises(geometry.MetricDegenerateError, match="metric degenerate at point"):
             hk.twistor_normal_bundle_at(prep, pt)
+
+    def test_sweep_reads_tau_once_and_builds_no_chart(self, monkeypatch, capsys):
+        """Each twistor point reads Im tau off its base record: one tau read
+        and one Cholesky, and no flat-chart SVD (cubic, whose domain test
+        reads no tau)."""
+        counts = count_metric_reads(monkeypatch)
+        assert cli_main(["twistor", "normal-bundle", "--entry", "cubic", "--points", "5"]) == 0
+        capsys.readouterr()
+        assert counts == {"hess": 5, "cholesky": 5, "svd": 0}
 
     def test_point_holds_at_every_lambda_scale(self, capsys):
         """swlog(lambda) for lambda = 2^k e^(i theta), k = -1023..1013 in
